@@ -124,19 +124,27 @@ class YieldBatchKernel {
   static YieldBatchKernel build(const YieldKernelInputs& in);
 
   /// Solves lanes [0, block.size) for cells starting at row-major index
-  /// `first_cell`.  Writes margins for the four schemes to
-  /// `out->row(r)[first_cell + lane]`, and folds each lane's second-read
-  /// bit-line voltages into the running shared-reference window bounds
-  /// `*max_low` / `*min_high`.
+  /// `first_cell` (which sets each lane's column).  Writes margins for
+  /// the four schemes to `out->row(r)[slot + lane]`, and folds each
+  /// lane's second-read bit-line voltages into the running
+  /// shared-reference window bounds `*max_low` / `*min_high`.  A frame
+  /// smaller than the array (one tile of it) passes the tile-relative
+  /// `slot`; a whole-array frame uses slot == first_cell.
   void solve(const VariationBlock& block, std::size_t first_cell,
-             YieldMarginsSoA* out, double* max_low, double* min_high) const {
-    require(first_cell + block.size <= out->cells,
+             std::size_t slot, YieldMarginsSoA* out, double* max_low,
+             double* min_high) const {
+    require(slot + block.size <= out->cells,
             "YieldBatchKernel: block exceeds the margin frame");
     double* out_rows[8];
     for (std::size_t r = 0; r < 8; ++r) {
-      out_rows[r] = out->row(r) + first_cell;
+      out_rows[r] = out->row(r) + slot;
     }
     fn_(tables_, block, first_cell, out_rows, max_low, min_high);
+  }
+  /// Whole-array frame: margins land at `out->row(r)[first_cell + lane]`.
+  void solve(const VariationBlock& block, std::size_t first_cell,
+             YieldMarginsSoA* out, double* max_low, double* min_high) const {
+    solve(block, first_cell, first_cell, out, max_low, min_high);
   }
 
   [[nodiscard]] std::size_t cols() const { return tables_.cols; }

@@ -52,21 +52,69 @@ void record_all(YieldResult& result,
   }
 }
 
-/// SoA variant for the batched path: same per-cell record order, reading
-/// the kernel's margin rows (same doubles, different layout).
-void record_all(YieldResult& result, const YieldMarginsSoA& frame,
-                const YieldConfig& config, std::size_t keep_every) {
-  for (std::size_t i = 0; i < frame.cells; ++i) {
-    const std::array<SenseMargins, 4> margins = frame.cell(i);
-    record(result.conventional, margins[0], config.required_margin,
-           keep_every, config.keep_per_bit_margins);
-    record(result.reference_cell, margins[1], config.required_margin,
-           keep_every, config.keep_per_bit_margins);
-    record(result.destructive, margins[2], config.required_margin,
-           keep_every, config.keep_per_bit_margins);
-    record(result.nondestructive, margins[3], config.required_margin,
-           keep_every, config.keep_per_bit_margins);
+/// Cells per sweep tile of the batched path: the tile's eight margin rows
+/// take 2 MB whatever the array size.  A multiple of kMcBlockSize, so a
+/// serial sweep cuts the same blocks as an untiled one.
+constexpr std::size_t kYieldTileCells = std::size_t{1} << 15;
+static_assert(kYieldTileCells % kMcBlockSize == 0,
+              "yield tiles must hold whole blocks");
+
+/// The batched path's record(): folds tile slots [0, n), global cells
+/// [first, first + n), of the four schemes' margin rows into `result`.
+/// Each accumulator sees record()'s values in record()'s order.  The
+/// scatter keeps global cell g when g % keep_every == 0, which is
+/// record()'s test on the 1-based bit count.  Returns the failures added.
+std::size_t record_tile(YieldResult& result, const YieldMarginsSoA& tile,
+                        std::size_t first, std::size_t n, double required,
+                        std::size_t keep_every, bool keep_per_bit) {
+  // Local accumulators and row pointers: the margin rows are doubles
+  // too, so folding into the schemes' own RunningStats would force a
+  // store and reload per add; eight independent Welford chains per cell
+  // also keep the divider busy.
+  const std::array<SchemeYield*, 4> schemes = {
+      &result.conventional, &result.reference_cell, &result.destructive,
+      &result.nondestructive};
+  std::array<const double*, 8> rows;
+  std::array<RunningStats, 8> stats;
+  for (std::size_t r = 0; r < 8; ++r) rows[r] = tile.row(r);
+  for (std::size_t s = 0; s < 4; ++s) {
+    stats[2 * s] = schemes[s]->sm0_stats;
+    stats[2 * s + 1] = schemes[s]->sm1_stats;
   }
+  std::array<std::size_t, 4> failures{};
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t s = 0; s < 4; ++s) {
+      const double sm0 = rows[2 * s][i];
+      const double sm1 = rows[2 * s + 1][i];
+      stats[2 * s].add(sm0);
+      stats[2 * s + 1].add(sm1);
+      // SenseMargins::min(): `a < b ? a : b`, not std::min (they differ
+      // on NaN).
+      if ((sm0 < sm1 ? sm0 : sm1) < required) ++failures[s];
+    }
+  }
+  std::size_t total_failures = 0;
+  for (std::size_t s = 0; s < 4; ++s) {
+    SchemeYield& y = *schemes[s];
+    const double* sm0 = rows[2 * s];
+    const double* sm1 = rows[2 * s + 1];
+    y.sm0_stats = stats[2 * s];
+    y.sm1_stats = stats[2 * s + 1];
+    y.bits += n;
+    y.failures += failures[s];
+    total_failures += failures[s];
+    for (std::size_t g = (first + keep_every - 1) / keep_every * keep_every;
+         g < first + n; g += keep_every) {
+      y.scatter.emplace_back(sm0[g - first], sm1[g - first]);
+    }
+    if (keep_per_bit) {
+      for (std::size_t i = 0; i < n; ++i) {
+        y.per_bit_min_margin.push_back(
+            static_cast<float>(sm0[i] < sm1[i] ? sm0[i] : sm1[i]));
+      }
+    }
+  }
+  return total_failures;
 }
 
 std::size_t scatter_keep_every(const YieldConfig& config, std::size_t cells) {
@@ -266,14 +314,16 @@ YieldResult run_yield_batched(const YieldConfig& config,
   }
   const YieldBatchKernel kernel = YieldBatchKernel::build(inputs);
 
-  // Cache-blocked sweep: sample a block of cells into SoA arrays (the
-  // exact per-cell streams MemoryArray forks) and solve all lanes while
-  // the samples are L1-resident.  Chunks write disjoint margin slots and
-  // private window partials; the window merge and the record pass run
-  // serially in index order, so any thread count is bit-identical.
+  // Tiled, cache-blocked sweep.  Each tile of kYieldTileCells cells is
+  // sampled block by block into SoA arrays (the exact per-cell streams
+  // MemoryArray forks) and solved while the samples are L1-resident, into
+  // one reusable tile-sized margin frame.  Chunks write disjoint slots and
+  // carry private window partials across tiles (min/max merges are exact
+  // in any order); the record pass folds each tile serially in index
+  // order, so any thread count is bit-identical.
   const Xoshiro256 cell_master(config.seed);
-  YieldMarginsSoA cell_margins;
-  cell_margins.resize(cells);
+  YieldMarginsSoA tile;
+  tile.resize(std::min(cells, kYieldTileCells));
   const bool parallel =
       executor != nullptr && executor->thread_count() > 1;
   const std::size_t chunks = parallel ? executor->thread_count() : 1;
@@ -285,11 +335,12 @@ YieldResult run_yield_batched(const YieldConfig& config,
           ? &obs::Registry::instance().histogram("mc.block_seconds")
           : nullptr;
   STTRAM_OBS_SET_GAUGE("mc.batch_size", kMcBlockSize);
+  std::size_t tile_first = 0;  // global index of the current tile's slot 0
   const auto run_range = [&](std::size_t chunk, std::size_t begin,
                              std::size_t end) {
     VariationBlock block;
-    double max_low = -kInf;
-    double min_high = kInf;
+    double max_low = chunk_max_low[chunk];
+    double min_high = chunk_min_high[chunk];
     for (std::size_t b = begin; b < end; b += kMcBlockSize) {
       const std::size_t count = std::min(end - b, kMcBlockSize);
       const auto t0 = block_hist != nullptr
@@ -297,8 +348,8 @@ YieldResult run_yield_batched(const YieldConfig& config,
                           : std::chrono::steady_clock::time_point{};
       sample_variation_block(cell_master, variation,
                              r_access_nominal.value(), config.sigma_access,
-                             b, count, block);
-      kernel.solve(block, b, &cell_margins, &max_low, &min_high);
+                             tile_first + b, count, block);
+      kernel.solve(block, tile_first + b, b, &tile, &max_low, &min_high);
       if (block_hist != nullptr) {
         block_hist->record(std::chrono::duration<double>(
                                std::chrono::steady_clock::now() - t0)
@@ -308,10 +359,19 @@ YieldResult run_yield_batched(const YieldConfig& config,
     chunk_max_low[chunk] = max_low;
     chunk_min_high[chunk] = min_high;
   };
-  if (parallel) {
-    executor->for_chunks(cells, run_range);
-  } else {
-    run_range(0, 0, cells);
+  const double required = config.required_margin.value();
+  for (; tile_first < cells; tile_first += kYieldTileCells) {
+    const std::size_t n = std::min(cells - tile_first, kYieldTileCells);
+    if (parallel) {
+      executor->for_chunks(n, run_range);
+    } else {
+      run_range(0, 0, n);
+    }
+    const std::size_t failures =
+        record_tile(result, tile, tile_first, n, required, keep_every,
+                    config.keep_per_bit_margins);
+    STTRAM_OBS_ADD("yield.margin_evaluations", 4 * n);
+    if (failures > 0) STTRAM_OBS_ADD("yield.margin_failures", failures);
   }
   double max_low = -kInf;
   double min_high = kInf;
@@ -321,7 +381,6 @@ YieldResult run_yield_batched(const YieldConfig& config,
   }
   result.shared_reference_window = Volt(min_high - max_low);
 
-  record_all(result, cell_margins, config, keep_every);
   return result;
 }
 

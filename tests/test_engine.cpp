@@ -633,7 +633,9 @@ TEST(TraceWorkload, GeneratorIsDeterministicAndSorted) {
     EXPECT_EQ(a[i].arrival.value(), b[i].arrival.value());
     EXPECT_EQ(a[i].op, b[i].op);
     EXPECT_EQ(a[i].bank, b[i].bank);
-    if (i > 0) EXPECT_GE(a[i].arrival.value(), a[i - 1].arrival.value());
+    if (i > 0) {
+      EXPECT_GE(a[i].arrival.value(), a[i - 1].arrival.value());
+    }
     EXPECT_LT(a[i].bank, 4u);
   }
 }

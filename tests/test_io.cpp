@@ -178,7 +178,7 @@ TEST(Json, ParseHandlesEscapesAndNumbers) {
   EXPECT_EQ(Json::parse("-7").as_integer(), -7);
   // An integral double extracts as an integer; a fractional one throws.
   EXPECT_EQ(Json::parse("3.0").as_integer(), 3);
-  EXPECT_THROW(Json::parse("3.5").as_integer(), InvalidArgument);
+  EXPECT_THROW((void)Json::parse("3.5").as_integer(), InvalidArgument);
   EXPECT_TRUE(Json::parse(" [ ] ").is_array());
   EXPECT_EQ(Json::parse("{\"a\": {\"b\": [1, 2]}}")
                 .at("a")
@@ -198,11 +198,11 @@ TEST(Json, ParseRejectsMalformedInput) {
   EXPECT_THROW(Json::parse("1 2"), InvalidArgument);  // trailing garbage
   EXPECT_THROW(Json::parse("nope"), InvalidArgument);
   // Accessor type errors.
-  EXPECT_THROW(Json::parse("[1]").at("key"), InvalidArgument);
-  EXPECT_THROW(Json::parse("{}").at("missing"), InvalidArgument);
-  EXPECT_THROW(Json::parse("[1]").at(std::size_t{5}), InvalidArgument);
-  EXPECT_THROW(Json::parse("1").as_string(), InvalidArgument);
-  EXPECT_THROW(Json::parse("\"s\"").as_number(), InvalidArgument);
+  EXPECT_THROW((void)Json::parse("[1]").at("key"), InvalidArgument);
+  EXPECT_THROW((void)Json::parse("{}").at("missing"), InvalidArgument);
+  EXPECT_THROW((void)Json::parse("[1]").at(std::size_t{5}), InvalidArgument);
+  EXPECT_THROW((void)Json::parse("1").as_string(), InvalidArgument);
+  EXPECT_THROW((void)Json::parse("\"s\"").as_number(), InvalidArgument);
 }
 
 // Expects `text` to be rejected with a message carrying `needle` —

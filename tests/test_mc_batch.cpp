@@ -92,10 +92,22 @@ YieldResult run_with(const YieldConfig& base, bool batch,
   return run_yield_experiment(cfg, executor);
 }
 
+/// Spans three tiles of the batched sweep (two full 2^15-cell tiles plus
+/// a remainder), with a scatter stride (71857 / 13 = 5527) that does not
+/// divide the tile size, so tile boundaries fall inside scatter strides.
+YieldConfig multi_tile_corner() {
+  YieldConfig cfg;
+  cfg.geometry = {181, 397};  // 71 857 cells
+  cfg.max_scatter_points = 13;
+  cfg.keep_per_bit_margins = true;
+  return cfg;
+}
+
 TEST(McBatchYield, BitIdenticalToScalarAcrossCorners) {
   // Default corner, hot corner, off-center die, scatter subsampling, and
   // the per-bit-margin overlay all take the same code paths the campaign
   // goldens gate — each must match the scalar oracle double for double.
+  // The last corner crosses tile boundaries of the batched sweep.
   std::vector<YieldConfig> corners(5);
   corners[0].geometry = {24, 32};
   corners[1].geometry = {24, 32};
@@ -107,20 +119,23 @@ TEST(McBatchYield, BitIdenticalToScalarAcrossCorners) {
   corners[4].geometry = {16, 16};
   corners[4].keep_per_bit_margins = true;
   corners[4].beta_destructive = 1.22;  // explicit override path
+  corners.push_back(multi_tile_corner());
   for (const YieldConfig& cfg : corners) {
     expect_yield_equal(run_with(cfg, true), run_with(cfg, false));
   }
 }
 
 TEST(McBatchYield, ThreadCountBitIdentity) {
-  YieldConfig cfg;
-  cfg.geometry = {32, 48};
-  cfg.keep_per_bit_margins = true;
-  const YieldResult serial = run_with(cfg, true);
-  for (const std::size_t threads : {1u, 2u, 8u}) {
-    ThreadPool pool(threads);
-    expect_yield_equal(serial, run_with(cfg, true, &pool));
-    expect_yield_equal(serial, run_with(cfg, false, &pool));
+  YieldConfig single_tile;
+  single_tile.geometry = {32, 48};
+  single_tile.keep_per_bit_margins = true;
+  for (const YieldConfig& cfg : {single_tile, multi_tile_corner()}) {
+    const YieldResult serial = run_with(cfg, true);
+    for (const std::size_t threads : {1u, 2u, 8u}) {
+      ThreadPool pool(threads);
+      expect_yield_equal(serial, run_with(cfg, true, &pool));
+      expect_yield_equal(serial, run_with(cfg, false, &pool));
+    }
   }
 }
 
@@ -305,6 +320,20 @@ TEST(McBatchRiCurve, LinearBatchedBitIdentical) {
 
 // -------------------------------------------------------- observability
 
+std::uint64_t counter_value(const char* name) {
+  for (const auto& c : obs::Registry::instance().counters()) {
+    if (c.name == name) return c.value;
+  }
+  return 0;
+}
+
+std::uint64_t histogram_count(const char* name) {
+  for (const auto& h : obs::Registry::instance().histograms()) {
+    if (h.name == name) return h.hist.summary().count;
+  }
+  return 0;
+}
+
 TEST(McBatchObs, MetricsOnVsOffBitIdentityAndCounters) {
   YieldConfig cfg;
   cfg.geometry = {16, 32};
@@ -350,6 +379,27 @@ TEST(McBatchObs, MetricsOnVsOffBitIdentityAndCounters) {
     }
   }
   EXPECT_TRUE(saw_hist);
+
+  // Counter and histogram totals over a multi-tile array: the per-tile
+  // counter adds must sum to the per-bit totals, and a serial sweep must
+  // time exactly one block per kMcBlockSize cells.
+  const YieldConfig multi = multi_tile_corner();
+  const std::size_t cells = multi.geometry.cell_count();
+  const std::uint64_t evals_before = counter_value("yield.margin_evaluations");
+  const std::uint64_t fails_before = counter_value("yield.margin_failures");
+  const std::uint64_t blocks_before = histogram_count("mc.block_seconds");
+  obs::set_metrics_enabled(true);
+  ThreadPool one(1);
+  const YieldResult metered = run_with(multi, true, &one);
+  obs::set_metrics_enabled(false);
+  EXPECT_EQ(counter_value("yield.margin_evaluations") - evals_before,
+            4 * cells);
+  EXPECT_EQ(counter_value("yield.margin_failures") - fails_before,
+            metered.conventional.failures + metered.reference_cell.failures +
+                metered.destructive.failures +
+                metered.nondestructive.failures);
+  EXPECT_EQ(histogram_count("mc.block_seconds") - blocks_before,
+            (cells + kMcBlockSize - 1) / kMcBlockSize);
 }
 
 // ---------------------------------------------------- forced-ISA matrix
