@@ -11,7 +11,8 @@
 // The batched kernels dispatch on active_simd_isa(); this bench times
 // every ISA the host supports (forced via set_simd_isa_override, bitwise
 // gated against the scalar oracle first) and claims >= 2x for the widest
-// SIMD width over the scalar-ISA batch loop on AVX2-class hardware.
+// SIMD width over the scalar ISA — the W = 1 instantiation of the same
+// kernel template — on AVX2-class hardware.
 //
 // `--no-batch` makes the scalar path the snapshot's subject (same metric
 // names), so a committed scalar baseline pairs directly with a batched
@@ -175,7 +176,7 @@ int main(int argc, char** argv) {
   const SimdIsa active_isa = active_simd_isa();
   bool identical = true;
   double batched_s = 0.0;     // active-ISA solve time
-  double scalar_isa_s = 0.0;  // forced-kScalar batch-loop time
+  double scalar_isa_s = 0.0;  // forced-kScalar (W = 1) solve time
   std::printf("margin solve (4 schemes/cell, %zu cells):\n", cells);
   for (SimdIsa isa : {SimdIsa::kScalar, SimdIsa::kSse2, SimdIsa::kNeon,
                       SimdIsa::kAvx2, SimdIsa::kAvx512}) {

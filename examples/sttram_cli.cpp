@@ -15,12 +15,15 @@
 //
 // Run `sttram_cli --help` for the full command and flag reference (the
 // same text is printed for -h, --help and the help command).
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -202,6 +205,27 @@ void print_help() {
       "                     the STTRAM_SIMD environment variable)\n");
 }
 
+/// A malformed command-line value; main() reports it and exits 2.
+struct UsageError : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
+
+/// The one strict parser for numeric command-line values: the whole
+/// token must be a finite, non-negative T ("abc", "-4", "8x" and "" are
+/// rejected).  Throws UsageError naming `what`.
+template <class T>
+T parse_number(const char* text, const char* what) {
+  const char* end = text + std::strlen(text);
+  T value{};
+  const auto [ptr, ec] = std::from_chars(text, end, value);
+  if (ec != std::errc() || ptr != end || *text == '-' ||
+      !std::isfinite(static_cast<double>(value))) {
+    throw UsageError(std::string(what) +
+                     ": expected a non-negative number, got '" + text + "'");
+  }
+  return value;
+}
+
 /// Rejects any "--flag" token the subcommand does not understand.
 /// `allowed` is a null-terminated list of accepted flag spellings.
 bool reject_unknown_flags(int argc, char** argv,
@@ -231,7 +255,8 @@ int cmd_margins(int argc, char** argv) {
   const SelfRefConfig config;
   const NondestructiveSelfReference nondes(mtj, r_t, config);
   const DestructiveSelfReference destr(mtj, r_t, config);
-  const double beta = argc > 2 ? std::atof(argv[2]) : nondes.paper_beta();
+  const double beta =
+      argc > 2 ? parse_number<double>(argv[2], "beta") : nondes.paper_beta();
   const ConventionalSensing conv(mtj, r_t, config.i_max);
   const ReferenceCellSensing refcell(mtj, mtj, r_t, config.i_max);
 
@@ -310,8 +335,9 @@ int cmd_yield(int argc, char** argv) {
         std::fprintf(stderr, "error: %s requires a value\n", argv[k]);
         return 2;
       }
-      if (is_faults) fault_density = std::atof(argv[++k]);
-      else retry = std::atol(argv[++k]);
+      const char* value = argv[++k];
+      if (is_faults) fault_density = parse_number<double>(value, "--faults");
+      else retry = parse_number<long>(value, "--retry");
     } else if (std::strcmp(argv[k], "--ecc") == 0) {
       ecc = true;
     } else if (std::strcmp(argv[k], "--json") == 0) {
@@ -319,13 +345,13 @@ int cmd_yield(int argc, char** argv) {
     } else if (std::strcmp(argv[k], "--no-batch") == 0) {
       cfg.use_batch = false;
     } else if (positional == 0) {
-      rows = static_cast<std::size_t>(std::atoi(argv[k]));
+      rows = parse_number<std::size_t>(argv[k], "rows");
       ++positional;
     } else if (positional == 1) {
-      cols = static_cast<std::size_t>(std::atoi(argv[k]));
+      cols = parse_number<std::size_t>(argv[k], "cols");
       ++positional;
     } else {
-      cfg.variation.sigma_common = std::atof(argv[k]);
+      cfg.variation.sigma_common = parse_number<double>(argv[k], "sigma");
     }
   }
   if ((ecc || retry > 1) && fault_density < 0.0) {
@@ -434,7 +460,7 @@ int cmd_tail(int argc, char** argv) {
     if (std::strcmp(argv[k], "--no-batch") == 0) {
       cfg.use_batch = false;
     } else {
-      cfg.threshold = Volt(std::atof(argv[k]) * 1e-3);
+      cfg.threshold = Volt(parse_number<double>(argv[k], "margin_mv") * 1e-3);
     }
   }
   const TailEstimate e = estimate_margin_tail(cfg, 1, 20000, g_executor);
@@ -452,7 +478,7 @@ int cmd_tail(int argc, char** argv) {
 
 int cmd_read(int argc, char** argv) {
   if (!reject_unknown_flags(argc, argv)) return 2;
-  const bool bit = argc > 2 ? std::atoi(argv[2]) != 0 : true;
+  const bool bit = argc > 2 ? parse_number<int>(argv[2], "bit") != 0 : true;
   OneT1JCell cell;
   cell.mtj().force_state(from_bit(bit));
   const SelfRefConfig config;
@@ -473,7 +499,7 @@ int cmd_read(int argc, char** argv) {
 int cmd_transient(int argc, char** argv) {
   if (!reject_unknown_flags(argc, argv)) return 2;
   SpiceReadConfig cfg;
-  cfg.state = (argc > 2 && std::atoi(argv[2]) == 0)
+  cfg.state = (argc > 2 && parse_number<int>(argv[2], "bit") == 0)
                   ? MtjState::kParallel
                   : MtjState::kAntiParallel;
   const SpiceReadResult r = simulate_nondestructive_read(cfg);
@@ -520,29 +546,29 @@ int cmd_traffic(int argc, char** argv) {
       }
     } else if (std::strcmp(flag, "--requests") == 0) {
       if ((value = flag_value(k)) == nullptr) return 2;
-      cfg.requests = static_cast<std::size_t>(std::atoll(value));
+      cfg.requests = parse_number<std::size_t>(value, flag);
       saw_requests = true;
     } else if (std::strcmp(flag, "--banks") == 0) {
       if ((value = flag_value(k)) == nullptr) return 2;
-      cfg.banks = static_cast<std::size_t>(std::atoll(value));
+      cfg.banks = parse_number<std::size_t>(value, flag);
       saw_banks = true;
     } else if (std::strcmp(flag, "--controller") == 0) {
       controller_mode = true;
     } else if (std::strcmp(flag, "--channels") == 0) {
       if ((value = flag_value(k)) == nullptr) return 2;
-      ctl.channels = static_cast<std::size_t>(std::atoll(value));
+      ctl.channels = parse_number<std::size_t>(value, flag);
       ctl_only = flag;
     } else if (std::strcmp(flag, "--ranks") == 0) {
       if ((value = flag_value(k)) == nullptr) return 2;
-      ctl.ranks = static_cast<std::size_t>(std::atoll(value));
+      ctl.ranks = parse_number<std::size_t>(value, flag);
       ctl_only = flag;
     } else if (std::strcmp(flag, "--rows") == 0) {
       if ((value = flag_value(k)) == nullptr) return 2;
-      ctl.rows = static_cast<std::size_t>(std::atoll(value));
+      ctl.rows = parse_number<std::size_t>(value, flag);
       ctl_only = flag;
     } else if (std::strcmp(flag, "--row-locality") == 0) {
       if ((value = flag_value(k)) == nullptr) return 2;
-      ctl.row_locality = std::atof(value);
+      ctl.row_locality = parse_number<double>(value, flag);
       ctl_only = flag;
     } else if (std::strcmp(flag, "--scheduler") == 0) {
       if ((value = flag_value(k)) == nullptr) return 2;
@@ -556,7 +582,7 @@ int cmd_traffic(int argc, char** argv) {
       ctl_only = flag;
     } else if (std::strcmp(flag, "--starvation-cap") == 0) {
       if ((value = flag_value(k)) == nullptr) return 2;
-      ctl.starvation_cap = static_cast<std::size_t>(std::atoll(value));
+      ctl.starvation_cap = parse_number<std::size_t>(value, flag);
       ctl_only = flag;
     } else if (std::strcmp(flag, "--no-coalesce") == 0) {
       ctl.coalescing = false;
@@ -593,36 +619,36 @@ int cmd_traffic(int argc, char** argv) {
       bank_only = flag;
     } else if (std::strcmp(flag, "--rho") == 0) {
       if ((value = flag_value(k)) == nullptr) return 2;
-      cfg.utilization = std::atof(value);
+      cfg.utilization = parse_number<double>(value, flag);
     } else if (std::strcmp(flag, "--read-fraction") == 0) {
       if ((value = flag_value(k)) == nullptr) return 2;
-      cfg.read_fraction = std::atof(value);
+      cfg.read_fraction = parse_number<double>(value, flag);
     } else if (std::strcmp(flag, "--clients") == 0) {
       if ((value = flag_value(k)) == nullptr) return 2;
-      cfg.clients = static_cast<std::size_t>(std::atoll(value));
+      cfg.clients = parse_number<std::size_t>(value, flag);
       bank_only = flag;
     } else if (std::strcmp(flag, "--think-ns") == 0) {
       if ((value = flag_value(k)) == nullptr) return 2;
-      cfg.think_time = Second(std::atof(value) * 1e-9);
+      cfg.think_time = Second(parse_number<double>(value, flag) * 1e-9);
       bank_only = flag;
     } else if (std::strcmp(flag, "--seed") == 0) {
       if ((value = flag_value(k)) == nullptr) return 2;
-      cfg.seed = static_cast<std::uint64_t>(std::atoll(value));
+      cfg.seed = parse_number<std::uint64_t>(value, flag);
     } else if (std::strcmp(flag, "--word-bits") == 0) {
       if ((value = flag_value(k)) == nullptr) return 2;
-      cfg.word_bits = static_cast<std::size_t>(std::atoll(value));
+      cfg.word_bits = parse_number<std::size_t>(value, flag);
     } else if (std::strcmp(flag, "--trace-file") == 0) {
       if ((value = flag_value(k)) == nullptr) return 2;
       trace_path = value;
       bank_only = flag;
     } else if (std::strcmp(flag, "--faults") == 0) {
       if ((value = flag_value(k)) == nullptr) return 2;
-      fault_ber = std::atof(value);
+      fault_ber = parse_number<double>(value, flag);
     } else if (std::strcmp(flag, "--ecc") == 0) {
       ecc = true;
     } else if (std::strcmp(flag, "--retry") == 0) {
       if ((value = flag_value(k)) == nullptr) return 2;
-      retry = std::atol(value);
+      retry = parse_number<long>(value, flag);
     } else {
       std::fprintf(stderr, "error: unknown flag '%s' for 'traffic'\n",
                    flag);
@@ -851,13 +877,13 @@ int cmd_fault(int argc, char** argv) {
     }
     const char* value = argv[++k];
     if (std::strcmp(flag, "--seed") == 0) {
-      seed = static_cast<std::uint64_t>(std::atoll(value));
+      seed = parse_number<std::uint64_t>(value, flag);
     } else if (std::strcmp(flag, "--rows") == 0) {
-      rows = static_cast<std::size_t>(std::atoll(value));
+      rows = parse_number<std::size_t>(value, flag);
     } else if (std::strcmp(flag, "--cols") == 0) {
-      cols = static_cast<std::size_t>(std::atoll(value));
+      cols = parse_number<std::size_t>(value, flag);
     } else if (std::strcmp(flag, "--density") == 0) {
-      density = std::atof(value);
+      density = parse_number<double>(value, flag);
     }
   }
   if (rows == 0 || cols == 0) {
@@ -1276,7 +1302,12 @@ int main(int argc, char** argv) {
         return 2;
       }
       if (is_threads) {
-        threads = std::atol(argv[++k]);
+        try {
+          threads = parse_number<long>(argv[++k], "--threads");
+        } catch (const UsageError& e) {
+          std::fprintf(stderr, "error: %s\n", e.what());
+          return 2;
+        }
         if (threads < 1) {
           std::fprintf(stderr, "error: --threads wants a count >= 1\n");
           return 2;
@@ -1362,6 +1393,9 @@ int main(int argc, char** argv) {
                    cmd.c_str());
       return 2;
     }
+  } catch (const UsageError& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 2;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;

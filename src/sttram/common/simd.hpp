@@ -12,8 +12,10 @@
 // once as `template <int W>` and instantiated in per-width translation
 // units compiled with the matching -m flags (w2 = baseline SSE2/NEON,
 // w4 = -mavx2, w8 = -mavx512f -mavx512dq) plus -ffp-contract=off so no
-// mul+add is fused into an FMA (contraction changes rounding).  The
-// dispatcher picks the table for `active_simd_isa()` at kernel-build time.
+// mul+add is fused into an FMA (contraction changes rounding).  W = 1 is
+// the `scalar` ISA: the same template, instantiated in the dispatching
+// TU with baseline flags.  The dispatcher picks the table for
+// `active_simd_isa()` at kernel-build time through simd_ladder().
 //
 // ISA selection order: programmatic override (`--simd`, tests) >
 // STTRAM_SIMD environment variable > cpuid autodetection.
@@ -67,13 +69,49 @@ void set_simd_isa_override(SimdIsa isa);
 /// Returns to env/autodetect resolution.
 void clear_simd_isa_override();
 
+/// The ISA ladder, the one place its fallback order is written down:
+/// the kernel table of the widest width at or below `isa` that this
+/// target compiled in — AVX-512 (w8) -> AVX2 (w4) -> SSE2/NEON (w2) ->
+/// scalar (w1).  A wider table is nullptr when its width is not built
+/// for the target; the W = 1 table always exists.
+template <class Table>
+const Table& simd_ladder(SimdIsa isa, const Table* w8, const Table* w4,
+                         const Table* w2, const Table& w1) {
+  switch (isa) {
+    case SimdIsa::kAvx512:
+      if (w8 != nullptr) return *w8;
+      [[fallthrough]];
+    case SimdIsa::kAvx2:
+      if (w4 != nullptr) return *w4;
+      [[fallthrough]];
+    case SimdIsa::kSse2:
+    case SimdIsa::kNeon:
+      if (w2 != nullptr) return *w2;
+      [[fallthrough]];
+    case SimdIsa::kScalar:
+      break;
+  }
+  return w1;
+}
+
 namespace simd {
+// Internal linkage for everything a kernel instantiates: W = 1 code is
+// emitted both by the baseline dispatching TUs and by the -mavx2 /
+// -mavx512f width TUs (their remainder strips), so with external linkage
+// the linker could keep an AVX-encoded out-of-line copy for the scalar
+// path.  Each TU keeps its own copy, built with its own flags.
+namespace {
 
 /// Maps a lane count to the GCC vector types of that width.  Explicit
 /// specializations: `vector_size` must be a literal, not W-dependent.
 template <int W>
 struct LaneTraits;
 
+template <>
+struct LaneTraits<1> {
+  typedef double vd __attribute__((vector_size(8)));
+  typedef long long vm __attribute__((vector_size(8)));
+};
 template <>
 struct LaneTraits<2> {
   typedef double vd __attribute__((vector_size(16)));
@@ -109,11 +147,9 @@ struct Vec {
     return r;
   }
   void store(double* p) const { __builtin_memcpy(p, &v, sizeof(D)); }
-  static Vec splat(double x) {
-    Vec r;
-    r.v = D{} + x;
-    return r;
-  }
+  /// Broadcast.  `x - 0.0` is exactly x for every x (-0.0 included), so
+  /// GCC folds it to a plain broadcast.
+  static Vec splat(double x) { return Vec{x - D{}}; }
   double operator[](int i) const { return v[i]; }
 
   friend Vec operator+(Vec a, Vec b) { return Vec{a.v + b.v}; }
@@ -160,6 +196,7 @@ inline bool mask_any(typename LaneTraits<W>::vm m) {
   return any;
 }
 
+}  // namespace
 }  // namespace simd
 
 /// 64-byte-aligning allocator so SoA block rows start on cache-line

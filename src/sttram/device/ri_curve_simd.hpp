@@ -2,14 +2,15 @@
 // dispatches on active_simd_isa()).
 //
 // The vector kernel runs every lane through the same Newton iteration the
-// scalar bias_voltage() runs — converged lanes keep computing but their v
-// is frozen by an active-lane select, so each lane's update sequence (and
-// therefore its result) is bit-identical to the scalar loop.  Zero-current
-// lanes start inactive with v = 0, matching the scalar early-out.
+// scalar bias_voltage() (the oracle) runs — converged lanes keep computing
+// but their v is frozen by an active-lane select, so each lane's update
+// sequence (and therefore its result) is bit-identical to it.
+// Zero-current lanes start inactive with v = 0, matching its early-out.
 //
-// These templates are instantiated only inside ri_curve_w{2,4,8}.cpp,
-// which are compiled with the matching -m flags and -ffp-contract=off
-// (an FMA contraction would change the rounding of f = g0*v*(1+u^2) - i).
+// The W > 1 templates are instantiated inside ri_curve_w{2,4,8}.cpp,
+// compiled with the matching -m flags; ri_curve.cpp instantiates W = 1 as
+// the `scalar` ISA.  All of them build with -ffp-contract=off (an FMA
+// contraction would change the rounding of f = g0*v*(1+u^2) - i).
 #pragma once
 
 #include <cmath>
@@ -33,64 +34,48 @@ const DeviceSimdKernels* device_simd_kernels_w4();
 const DeviceSimdKernels* device_simd_kernels_w8();
 
 namespace simd_detail {
+namespace {  // internal linkage, see common/simd.hpp
 
-/// The scalar bias_voltage() Newton body for one lane (tail lanes and the
-/// kScalar batch loop share it, so every path runs the same sequence).
-inline double simmons_newton_lane(double r0, double vh, double i) {
-  const double current = std::fabs(i);
-  if (current == 0.0) return 0.0;
-  const double g0 = 1.0 / r0;
-  double v = current * r0;
-  for (int iter = 0; iter < 60; ++iter) {
-    const double u = v / vh;
-    const double f = g0 * v * (1.0 + u * u) - current;
-    const double df = g0 * (1.0 + 3.0 * u * u);
-    const double step = f / df;
-    v -= step;
-    if (v <= 0.0) v = 1e-15;
-    if (std::fabs(step) < 1e-15 * (1.0 + std::fabs(v))) break;
-  }
-  return v;
-}
-
-/// Masked vector Newton: W lanes per strip, per-lane convergence masks.
+/// Masked vector Newton over lanes [k, k + W), per-lane convergence masks.
 template <int W>
-void simmons_newton_simd(double r0, double vh, const double* i_amps,
-                         std::size_t n, double* v_out) {
+void simmons_newton_strip(double r0, double vh, const double* i_amps,
+                          std::size_t k, double* v_out) {
   using V = simd::Vec<W>;
   using M = typename simd::LaneTraits<W>::vm;
   const V vg0 = V::splat(1.0 / r0);
-  const V vr0 = V::splat(r0);
   const V vvh = V::splat(vh);
   const V one = V::splat(1.0);
-  const V three = V::splat(3.0);
   const V zero = V::splat(0.0);
   const V tiny = V::splat(1e-15);
   const V eps = V::splat(1e-15);
-  std::size_t k = 0;
-  for (; k + W <= n; k += W) {
-    const V cur = vabs(V::load(i_amps + k));
-    const M zero_cur = (cur == zero);
-    M active = ~zero_cur;
-    V v = V::select(zero_cur, zero, cur * vr0);
-    for (int iter = 0; iter < 60 && simd::mask_any<W>(active); ++iter) {
-      const V u = v / vvh;
-      const V uu = u * u;
-      const V f = vg0 * v * (one + uu) - cur;
-      const V df = vg0 * (one + three * uu);
-      const V step = f / df;
-      V v_new = v - step;
-      v_new = V::select(v_new <= zero, tiny, v_new);
-      const M conv = vabs(step) < eps * (one + vabs(v_new));
-      v = V::select(active, v_new, v);
-      active = active & ~conv;
-    }
-    v.store(v_out + k);
+  const V cur = vabs(V::load(i_amps + k));
+  const M zero_cur = (cur == zero);
+  M active = ~zero_cur;
+  V v = V::select(zero_cur, zero, cur * V::splat(r0));
+  for (int iter = 0; iter < 60 && simd::mask_any<W>(active); ++iter) {
+    const V u = v / vvh;
+    const V uu = u * u;
+    const V f = vg0 * v * (one + uu) - cur;
+    const V df = vg0 * (one + V::splat(3.0) * uu);
+    const V step = f / df;
+    V v_new = v - step;
+    v_new = V::select(v_new <= zero, tiny, v_new);
+    const M conv = vabs(step) < eps * (one + vabs(v_new));
+    v = V::select(active, v_new, v);
+    active = active & ~conv;
   }
-  for (; k < n; ++k) {
-    v_out[k] = simmons_newton_lane(r0, vh, i_amps[k]);
-  }
+  v.store(v_out + k);
 }
 
+/// W-wide strips, then W = 1 strips for the tail lanes.
+template <int W>
+void simmons_newton_simd(double r0, double vh, const double* i_amps,
+                         std::size_t n, double* v_out) {
+  std::size_t k = 0;
+  for (; k + W <= n; k += W) simmons_newton_strip<W>(r0, vh, i_amps, k, v_out);
+  for (; k < n; ++k) simmons_newton_strip<1>(r0, vh, i_amps, k, v_out);
+}
+
+}  // namespace
 }  // namespace simd_detail
 }  // namespace sttram

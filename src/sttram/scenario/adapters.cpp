@@ -50,10 +50,8 @@ ParamSchema yield_schema() {
 
 YieldConfig yield_config_from(const ScenarioInstance& inst) {
   YieldConfig cfg;
-  cfg.geometry = {static_cast<std::size_t>(
-                      param_int(inst.params, "rows", 128)),
-                  static_cast<std::size_t>(
-                      param_int(inst.params, "cols", 128))};
+  cfg.geometry = {param_count(inst.params, "rows", 128, inst.name),
+                  param_count(inst.params, "cols", 128, inst.name)};
   require(cfg.geometry.rows > 0 && cfg.geometry.cols > 0,
           "scenario '" + inst.name + "': rows/cols must be > 0");
   cfg.variation.sigma_common =
@@ -118,8 +116,7 @@ Json run_tail_kind(const ScenarioInstance& inst,
   cfg.threshold =
       Volt(param_number(inst.params, "threshold_mv", 8.0) * 1e-3);
   cfg.use_batch = !param_bool(inst.params, "no_batch", false);
-  const auto trials = static_cast<std::size_t>(
-      param_int(inst.params, "trials", 20000));
+  const auto trials = param_count(inst.params, "trials", 20000, inst.name);
   const TailEstimate e =
       estimate_margin_tail(cfg, inst.seed, trials, executor);
   Json metrics = Json::object();
@@ -172,8 +169,7 @@ Json run_traffic_kind(const ScenarioInstance& inst, ParallelExecutor*) {
       param_string(inst.params, "scheme", "nondestructive");
   require(engine::parse_scheme(scheme, cfg.scheme),
           "scenario '" + inst.name + "': unknown scheme '" + scheme + "'");
-  cfg.banks =
-      static_cast<std::size_t>(param_int(inst.params, "banks", 4));
+  cfg.banks = param_count(inst.params, "banks", 4, inst.name);
   cfg.policy = param_string(inst.params, "policy", "fcfs") == "fcfs"
                    ? engine::SchedulingPolicy::kFcfs
                    : engine::SchedulingPolicy::kReadPriority;
@@ -181,17 +177,14 @@ Json run_traffic_kind(const ScenarioInstance& inst, ParallelExecutor*) {
       param_string(inst.params, "workload", "poisson") == "poisson"
           ? engine::WorkloadKind::kPoisson
           : engine::WorkloadKind::kClosedLoop;
-  cfg.requests =
-      static_cast<std::size_t>(param_int(inst.params, "requests", 100000));
+  cfg.requests = param_count(inst.params, "requests", 100000, inst.name);
   cfg.utilization = param_number(inst.params, "rho", cfg.utilization);
   cfg.read_fraction =
       param_number(inst.params, "read_fraction", cfg.read_fraction);
-  cfg.clients =
-      static_cast<std::size_t>(param_int(inst.params, "clients", 8));
+  cfg.clients = param_count(inst.params, "clients", 8, inst.name);
   cfg.think_time =
       Second(param_number(inst.params, "think_ns", 50.0) * 1e-9);
-  cfg.word_bits =
-      static_cast<std::size_t>(param_int(inst.params, "word_bits", 32));
+  cfg.word_bits = param_count(inst.params, "word_bits", 32, inst.name);
   cfg.seed = inst.seed;
 
   const double ber = param_number(inst.params, "faults_ber", -1.0);
@@ -201,7 +194,7 @@ Json run_traffic_kind(const ScenarioInstance& inst, ParallelExecutor*) {
     fc.raw_ber = ber;
     fc.ecc = param_bool(inst.params, "ecc", false);
     fc.max_attempts = static_cast<std::uint32_t>(
-        param_int(inst.params, "retry", 3));
+        param_count(inst.params, "retry", 3, inst.name));
     require(fc.max_attempts >= 1,
             "scenario '" + inst.name + "': retry must be >= 1");
     const engine::BankTiming timing =
@@ -297,28 +290,25 @@ Json run_controller_kind(const ScenarioInstance& inst,
       param_string(inst.params, "scheme", "nondestructive");
   require(engine::parse_scheme(scheme, cfg.scheme),
           "scenario '" + inst.name + "': unknown scheme '" + scheme + "'");
-  cfg.channels =
-      static_cast<std::size_t>(param_int(inst.params, "channels", 4));
-  cfg.ranks = static_cast<std::size_t>(param_int(inst.params, "ranks", 2));
-  cfg.banks = static_cast<std::size_t>(param_int(inst.params, "banks", 8));
-  cfg.rows = static_cast<std::size_t>(param_int(inst.params, "rows", 64));
+  cfg.channels = param_count(inst.params, "channels", 4, inst.name);
+  cfg.ranks = param_count(inst.params, "ranks", 2, inst.name);
+  cfg.banks = param_count(inst.params, "banks", 8, inst.name);
+  cfg.rows = param_count(inst.params, "rows", 64, inst.name);
   const std::string scheduler =
       param_string(inst.params, "scheduler", "frfcfs");
   require(ctrl::parse_scheduler(scheduler, cfg.scheduler),
           "scenario '" + inst.name + "': unknown scheduler '" + scheduler +
               "'");
-  cfg.starvation_cap = static_cast<std::size_t>(
-      param_int(inst.params, "starvation_cap", 8));
+  cfg.starvation_cap =
+      param_count(inst.params, "starvation_cap", 8, inst.name);
   cfg.coalescing = param_bool(inst.params, "coalescing", true);
-  cfg.requests =
-      static_cast<std::size_t>(param_int(inst.params, "requests", 100000));
+  cfg.requests = param_count(inst.params, "requests", 100000, inst.name);
   cfg.utilization = param_number(inst.params, "rho", cfg.utilization);
   cfg.row_locality =
       param_number(inst.params, "row_locality", cfg.row_locality);
   cfg.read_fraction =
       param_number(inst.params, "read_fraction", cfg.read_fraction);
-  cfg.word_bits =
-      static_cast<std::size_t>(param_int(inst.params, "word_bits", 32));
+  cfg.word_bits = param_count(inst.params, "word_bits", 32, inst.name);
   cfg.seed = inst.seed;
 
   const double ber = param_number(inst.params, "faults_ber", -1.0);
@@ -328,7 +318,7 @@ Json run_controller_kind(const ScenarioInstance& inst,
     fc.raw_ber = ber;
     fc.ecc = param_bool(inst.params, "ecc", false);
     fc.max_attempts = static_cast<std::uint32_t>(
-        param_int(inst.params, "retry", 3));
+        param_count(inst.params, "retry", 3, inst.name));
     require(fc.max_attempts >= 1,
             "scenario '" + inst.name + "': retry must be >= 1");
     const engine::BankTiming timing =
@@ -412,10 +402,8 @@ void add_scheme_ber(Json& metrics, const fault::SchemeBer& s,
 Json run_fault_overlay_kind(const ScenarioInstance& inst,
                             ParallelExecutor* executor) {
   YieldConfig cfg;
-  cfg.geometry = {static_cast<std::size_t>(
-                      param_int(inst.params, "rows", 128)),
-                  static_cast<std::size_t>(
-                      param_int(inst.params, "cols", 128))};
+  cfg.geometry = {param_count(inst.params, "rows", 128, inst.name),
+                  param_count(inst.params, "cols", 128, inst.name)};
   require(cfg.geometry.rows > 0 && cfg.geometry.cols > 0,
           "scenario '" + inst.name + "': rows/cols must be > 0");
   cfg.variation.sigma_common =
@@ -427,7 +415,7 @@ Json run_fault_overlay_kind(const ScenarioInstance& inst,
   fault::BerConfig ber;
   ber.ecc = param_bool(inst.params, "ecc", false);
   ber.read_attempts = static_cast<std::uint32_t>(
-      param_int(inst.params, "retry", 1));
+      param_count(inst.params, "retry", 1, inst.name));
   require(ber.read_attempts >= 1,
           "scenario '" + inst.name + "': retry must be >= 1");
   const fault::FaultYieldResult r =
@@ -480,8 +468,7 @@ Json run_margin_sweep_kind(const ScenarioInstance& inst,
 
   const double beta_lo = param_number(inst.params, "beta_lo", 1.05);
   const double beta_hi = param_number(inst.params, "beta_hi", 4.0);
-  const auto steps =
-      static_cast<std::size_t>(param_int(inst.params, "steps", 60));
+  const std::size_t steps = param_count(inst.params, "steps", 60, inst.name);
   require(steps >= 2 && beta_hi > beta_lo,
           "scenario '" + inst.name +
               "': want steps >= 2 and beta_hi > beta_lo");
@@ -539,8 +526,8 @@ ParamSchema march_schema() {
 Json run_march_kind(const ScenarioInstance& inst,
                     ParallelExecutor* executor) {
   const ArrayGeometry geometry{
-      static_cast<std::size_t>(param_int(inst.params, "rows", 64)),
-      static_cast<std::size_t>(param_int(inst.params, "cols", 64))};
+      param_count(inst.params, "rows", 64, inst.name),
+      param_count(inst.params, "cols", 64, inst.name)};
   require(geometry.rows > 0 && geometry.cols > 0,
           "scenario '" + inst.name + "': rows/cols must be > 0");
   const fault::FaultConfig config = fault::FaultConfig::with_total_density(

@@ -1,6 +1,7 @@
 #include "sttram/scenario/schema.hpp"
 
 #include <cmath>
+#include <string>
 
 #include "sttram/common/error.hpp"
 
@@ -99,6 +100,18 @@ std::int64_t param_int(const Json& params, const std::string& key,
                        std::int64_t fallback) {
   if (!params.contains(key)) return fallback;
   return params.at(key).as_integer();
+}
+
+std::size_t param_count(const Json& params, const std::string& key,
+                        std::size_t fallback, const std::string& scenario) {
+  const std::int64_t value =
+      param_int(params, key, static_cast<std::int64_t>(fallback));
+  if (value < 0) {
+    throw InvalidArgument("scenario '" + scenario + "': parameter '" + key +
+                          "' must be >= 0 (got " + std::to_string(value) +
+                          ")");
+  }
+  return static_cast<std::size_t>(value);
 }
 
 double param_number(const Json& params, const std::string& key,

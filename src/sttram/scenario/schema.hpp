@@ -64,6 +64,13 @@ class ParamSchema {
 [[nodiscard]] std::int64_t param_int(const Json& params,
                                      const std::string& key,
                                      std::int64_t fallback);
+/// param_int for counts and sizes: throws InvalidArgument naming
+/// `scenario` when the value is negative, so no negative integer ever
+/// reaches a std::size_t.
+[[nodiscard]] std::size_t param_count(const Json& params,
+                                      const std::string& key,
+                                      std::size_t fallback,
+                                      const std::string& scenario);
 [[nodiscard]] double param_number(const Json& params, const std::string& key,
                                   double fallback);
 [[nodiscard]] std::string param_string(const Json& params,

@@ -15,8 +15,9 @@
 // hooks) are dropped, which is exact in IEEE-754 for every x except
 // -0.0 (whose value is unchanged).  The solve itself dispatches on
 // active_simd_isa() to a per-width instantiation of the same template
-// (margins_batch_simd.hpp); every vector op is correctly rounded and
-// lane-parallel, so each ISA reproduces the scalar loop bitwise.
+// (margins_batch_simd.hpp; the `scalar` ISA is W = 1); every vector op
+// is correctly rounded and lane-parallel, so each ISA reproduces the
+// per-cell scheme objects bitwise.
 // test_mc_batch.cpp holds the differential proof across schemes,
 // corners, thread counts, and every host-supported ISA.
 #pragma once

@@ -1,6 +1,6 @@
 // 4-lane sense kernels, compiled with -mavx2 (plus -ffp-contract=off so
 // no mul+add fuses into an FMA — contraction would change rounding and
-// break bit-identity with the scalar path).
+// break bit-identity with the per-cell oracle).
 #include "sttram/sense/margins_batch_simd.hpp"
 
 namespace sttram {

@@ -1,6 +1,6 @@
 // 8-lane sense kernels, compiled with -mavx512f -mavx512dq (plus
 // -ffp-contract=off so no mul+add fuses into an FMA — contraction would
-// change rounding and break bit-identity with the scalar path).
+// change rounding and break bit-identity with the per-cell oracle).
 #include "sttram/sense/margins_batch_simd.hpp"
 
 namespace sttram {

@@ -10,8 +10,11 @@
 // implement stage 3 — given staged u, s and t = log(s) rows — plus the
 // fused importance-sampling axis fill z = shift + n, dot += shift * z.
 //
-// Instantiated only in batch_w{2,4,8}.cpp, compiled with the matching
-// -m flags and -ffp-contract=off (see DESIGN.md §15).
+// W > 1 is instantiated in batch_w{2,4,8}.cpp, compiled with the
+// matching -m flags; batch.cpp instantiates W = 1 as the `scalar` ISA.
+// All of them build with -ffp-contract=off (see DESIGN.md §15).  Each
+// kernel is a one-strip body `*_strip<W>`; an outer loop runs W-wide strips
+// and finishes the tail lanes with `*_strip<1>`.
 #pragma once
 
 #include <cmath>
@@ -41,49 +44,50 @@ const StatsSimdKernels* stats_simd_kernels_w4();
 const StatsSimdKernels* stats_simd_kernels_w8();
 
 namespace simd_detail {
+namespace {  // internal linkage, see common/simd.hpp
 
-/// The scalar polar tail — exactly sample_standard_normal's return
-/// expression `u * std::sqrt(-2.0 * std::log(s) / s)` with log(s)
-/// precomputed (tail lanes and the kScalar targets share it).
-inline double polar_tail_lane(double u, double s, double t) {
-  return u * std::sqrt(-2.0 * t / s);
+/// n = u * sqrt(-2 * t / s) on lanes [k, k + W) — exactly
+/// sample_standard_normal's return expression `u * std::sqrt(-2.0 *
+/// std::log(s) / s)` with log(s) staged upstream.
+template <int W>
+simd::Vec<W> polar_tail_strip(const double* u, const double* s,
+                              const double* t, std::size_t k) {
+  using V = simd::Vec<W>;
+  return V::load(u + k) *
+         vsqrt(V::splat(-2.0) * V::load(t + k) / V::load(s + k));
 }
 
 template <int W>
 void polar_tail_simd(const double* u, const double* s, const double* t,
                      std::size_t n, double* out) {
-  using V = simd::Vec<W>;
-  const V m2 = V::splat(-2.0);
   std::size_t k = 0;
-  for (; k + W <= n; k += W) {
-    const V vs = V::load(s + k);
-    const V vn = V::load(u + k) * vsqrt(m2 * V::load(t + k) / vs);
-    vn.store(out + k);
-  }
-  for (; k < n; ++k) out[k] = polar_tail_lane(u[k], s[k], t[k]);
+  for (; k + W <= n; k += W) polar_tail_strip<W>(u, s, t, k).store(out + k);
+  for (; k < n; ++k) polar_tail_strip<1>(u, s, t, k).store(out + k);
+}
+
+/// z = shift + n, dot += shift * z on lanes [k, k + W).
+template <int W>
+void gaussian_axis_strip(const double* u, const double* s, const double* t,
+                         double shift, std::size_t k, double* z_row,
+                         double* dot) {
+  using V = simd::Vec<W>;
+  const V vshift = V::splat(shift);
+  const V z = vshift + polar_tail_strip<W>(u, s, t, k);
+  z.store(z_row + k);
+  (V::load(dot + k) + vshift * z).store(dot + k);
 }
 
 template <int W>
 void gaussian_axis_simd(const double* u, const double* s, const double* t,
                         double shift, std::size_t n, double* z_row,
                         double* dot) {
-  using V = simd::Vec<W>;
-  const V m2 = V::splat(-2.0);
-  const V vshift = V::splat(shift);
   std::size_t k = 0;
   for (; k + W <= n; k += W) {
-    const V vs = V::load(s + k);
-    const V vn = V::load(u + k) * vsqrt(m2 * V::load(t + k) / vs);
-    const V z = vshift + vn;
-    z.store(z_row + k);
-    (V::load(dot + k) + vshift * z).store(dot + k);
+    gaussian_axis_strip<W>(u, s, t, shift, k, z_row, dot);
   }
-  for (; k < n; ++k) {
-    const double zi = shift + polar_tail_lane(u[k], s[k], t[k]);
-    z_row[k] = zi;
-    dot[k] += shift * zi;
-  }
+  for (; k < n; ++k) gaussian_axis_strip<1>(u, s, t, shift, k, z_row, dot);
 }
 
+}  // namespace
 }  // namespace simd_detail
 }  // namespace sttram

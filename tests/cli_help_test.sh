@@ -8,8 +8,9 @@
 # 2. Every `--flag` string literal the source's parsers accept must
 #    appear in that help text — a flag you can pass but cannot discover
 #    is a documentation bug.
-# 3. Usage errors exit 2: unknown commands, unknown campaign verbs and
-#    unknown campaign flags all refuse with the documented status.
+# 3. Usage errors exit 2: unknown commands, unknown campaign verbs,
+#    unknown campaign flags and malformed numeric values all refuse with
+#    the documented status.
 set -eu
 
 cli="$1"
@@ -90,6 +91,13 @@ expect_exit2 "$cli" campaign verify /nonexistent.json
 # environment variable — both must refuse with status 2.
 expect_exit2 "$cli" --simd bogus stats
 expect_exit2 env STTRAM_SIMD=bogus "$cli" stats
+
+# Numeric values parse strictly: a negative, non-numeric or
+# trailing-garbage value is a usage error, not a crash or a silent 0.
+expect_exit2 "$cli" yield -4 8
+expect_exit2 "$cli" fault --rows -1
+expect_exit2 "$cli" tail abc
+expect_exit2 "$cli" traffic --requests 10x
 
 count="$(echo "$flags" | wc -l)"
 [ "$status" -eq 0 ] && echo "OK: help texts identical, $count flags documented, usage errors exit 2"

@@ -83,6 +83,16 @@ void expect_tail_equal(const TailEstimate& a, const TailEstimate& b) {
   EXPECT_EQ(a.expected_failures_16kb, b.expected_failures_16kb);
 }
 
+/// RAII ISA pin: a failing EXPECT inside a forced section must not leak
+/// the override into the remaining tests.
+class ScopedSimdIsa {
+ public:
+  explicit ScopedSimdIsa(SimdIsa isa) { set_simd_isa_override(isa); }
+  ~ScopedSimdIsa() { clear_simd_isa_override(); }
+  ScopedSimdIsa(const ScopedSimdIsa&) = delete;
+  ScopedSimdIsa& operator=(const ScopedSimdIsa&) = delete;
+};
+
 // -------------------------------------------- yield: batched vs scalar
 
 YieldResult run_with(const YieldConfig& base, bool batch,
@@ -289,19 +299,31 @@ TEST(McBatchRiCurve, SimmonsBatchedNewtonBitIdentical) {
   const SimmonsRiModel model =
       SimmonsRiModel::calibrated_to(MtjParams::paper_calibrated());
   // Mixed-convergence grid: zero current, tiny, nominal, and far beyond
-  // the calibration point (lanes retire at different iterations).
+  // the calibration point (lanes retire at different iterations).  Its
+  // 22 lanes leave a remainder at every width, so each ISA runs both its
+  // W-wide strips and the W = 1 tail against the scalar bias_voltage().
   std::vector<double> grid = {0.0, 1e-9, 1e-7, 5e-6, 2e-5, 1e-4};
   for (double i = 1e-6; i < 6e-5; i += 3.7e-6) grid.push_back(i);
+  ASSERT_EQ(grid.size(), 22u);
   std::vector<double> v_batch(grid.size()), r_batch(grid.size());
-  for (const MtjState state : {MtjState::kParallel, MtjState::kAntiParallel}) {
-    model.bias_voltage_batch(state, grid.data(), grid.size(), v_batch.data());
-    model.resistance_batch(state, grid.data(), grid.size(), r_batch.data());
-    for (std::size_t k = 0; k < grid.size(); ++k) {
-      EXPECT_EQ(v_batch[k],
-                model.bias_voltage(state, Ampere(grid[k])).value())
-          << "lane " << k;
-      EXPECT_EQ(r_batch[k], model.resistance(state, Ampere(grid[k])).value())
-          << "lane " << k;
+  for (const SimdIsa isa : {SimdIsa::kScalar, SimdIsa::kSse2, SimdIsa::kNeon,
+                            SimdIsa::kAvx2, SimdIsa::kAvx512}) {
+    if (!simd_isa_supported(isa)) continue;
+    SCOPED_TRACE(simd_isa_name(isa));
+    ScopedSimdIsa forced(isa);
+    for (const MtjState state :
+         {MtjState::kParallel, MtjState::kAntiParallel}) {
+      model.bias_voltage_batch(state, grid.data(), grid.size(),
+                               v_batch.data());
+      model.resistance_batch(state, grid.data(), grid.size(), r_batch.data());
+      for (std::size_t k = 0; k < grid.size(); ++k) {
+        EXPECT_EQ(v_batch[k],
+                  model.bias_voltage(state, Ampere(grid[k])).value())
+            << "lane " << k;
+        EXPECT_EQ(r_batch[k],
+                  model.resistance(state, Ampere(grid[k])).value())
+            << "lane " << k;
+      }
     }
   }
 }
@@ -404,16 +426,6 @@ TEST(McBatchObs, MetricsOnVsOffBitIdentityAndCounters) {
 
 // ---------------------------------------------------- forced-ISA matrix
 
-/// RAII ISA pin: a failing EXPECT inside a forced section must not leak
-/// the override into the remaining tests.
-class ScopedSimdIsa {
- public:
-  explicit ScopedSimdIsa(SimdIsa isa) { set_simd_isa_override(isa); }
-  ~ScopedSimdIsa() { clear_simd_isa_override(); }
-  ScopedSimdIsa(const ScopedSimdIsa&) = delete;
-  ScopedSimdIsa& operator=(const ScopedSimdIsa&) = delete;
-};
-
 TEST(McSimd, ParseAndOverrideValidation) {
   SimdIsa isa = SimdIsa::kAvx512;
   bool is_auto = false;
@@ -448,15 +460,23 @@ TEST(McSimd, ParseAndOverrideValidation) {
 }
 
 TEST(McSimd, ForcedIsaMatrixBitIdenticalToScalar) {
-  // Every vector ISA the host can run must reproduce the forced-scalar
-  // results double for double — yield, tail, and importance weights —
-  // cold and warm op cache, serial and on 1/2/8 worker threads.
+  // Root reference: the per-cell oracle (scheme objects per cell, scalar
+  // per-trial sampling).  Forced-scalar — the W = 1 instantiation of the
+  // kernel templates — must reproduce it double for double, and every
+  // vector ISA the host can run must reproduce forced-scalar — yield,
+  // tail, and importance weights — cold and warm op cache, serial and
+  // on 1/2/8 worker threads.
   YieldConfig ycfg;
   ycfg.geometry = {16, 32};
   ycfg.keep_per_bit_margins = true;
   TailConfig tcfg;
   tcfg.use_batch = true;
+  TailConfig tcfg_oracle = tcfg;
+  tcfg_oracle.use_batch = false;
   const std::vector<double> shift = {2.0, 1.0, 0.0};
+  const auto scalar_fails = [](const std::vector<double>& z) {
+    return z[0] + 0.5 * z[1] > 2.5;
+  };
   const auto block_fails = [](const GaussianBlock& block, std::size_t,
                               std::uint8_t* fails) {
     const double* z0 = block.axis(0);
@@ -482,6 +502,13 @@ TEST(McSimd, ForcedIsaMatrixBitIdenticalToScalar) {
     ScopedSimdIsa forced(SimdIsa::kScalar);
     return run_importance();
   }();
+  {
+    SCOPED_TRACE("scalar vs per-cell oracle");
+    expect_yield_equal(run_with(ycfg, false), y_scalar);
+    expect_tail_equal(estimate_margin_tail(tcfg_oracle, 7, 3000), t_scalar);
+    expect_estimate_equal(importance_sample(11, 4000, shift, scalar_fails),
+                          i_scalar);
+  }
 
   for (const SimdIsa isa : {SimdIsa::kSse2, SimdIsa::kNeon, SimdIsa::kAvx2,
                             SimdIsa::kAvx512}) {

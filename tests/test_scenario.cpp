@@ -3,6 +3,7 @@
 // bit-identical across thread counts) and the golden-verify round trip.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -270,6 +271,37 @@ TEST(Campaign, VerifyFlagsStructuralMismatches) {
   diffs = diff_reports(golden, extra, spec.tolerances);
   ASSERT_EQ(diffs.size(), 1u);
   EXPECT_NE(diffs[0].detail.find("absent from golden"), std::string::npos);
+}
+
+TEST(Registry, NegativeCountsThrowNamingTheScenario) {
+  // Integer params that size arrays or request streams must be rejected
+  // before they reach a std::size_t, where a negative count wraps into a
+  // huge allocation that crashes the run.
+  register_builtin_kinds();
+  const struct {
+    const char* kind;
+    const char* key;
+    std::int64_t value;
+  } cases[] = {{"yield", "rows", -4},
+               {"fault_overlay", "rows", -4},
+               {"traffic", "requests", -1}};
+  for (const auto& c : cases) {
+    ScenarioInstance inst;
+    inst.name = std::string("negative_") + c.key;
+    inst.kind = c.kind;
+    inst.params = Json::object();
+    inst.params.set(c.key, Json::integer(c.value));
+    validate_instance(inst);  // the schema checks the type only
+    const ExperimentKind* kind = Registry::instance().find(c.kind);
+    ASSERT_NE(kind, nullptr) << c.kind;
+    try {
+      (void)kind->run(inst, nullptr);
+      ADD_FAILURE() << c.kind << ": expected InvalidArgument";
+    } catch (const InvalidArgument& e) {
+      EXPECT_NE(std::string(e.what()).find(inst.name), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(Campaign, RunNamesFailingScenario) {
