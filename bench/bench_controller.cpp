@@ -161,5 +161,5 @@ int main(int argc, char** argv) {
   // drift is a behavior change, not noise.
   snap.add_histogram("chip_latency", serial.latency_hist, "s");
   bench::write_snapshot(snap);
-  return 0;
+  return bench::exit_status();
 }

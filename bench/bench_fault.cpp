@@ -186,5 +186,5 @@ int main(int argc, char** argv) {
                   "access/s", /*higher_is_better=*/true);
   snap.add_histogram("recovery_extra_latency", recovery_latency, "s");
   bench::write_snapshot(snap);
-  return 0;
+  return bench::exit_status();
 }

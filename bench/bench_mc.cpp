@@ -5,8 +5,9 @@
 // the batched SoA solve vs the scalar per-cell path (which rebuilds
 // heap-allocated scheme objects per cell), measured in-process on the
 // same pre-sampled 16-kb population so the ratio is machine-independent.
-// End-to-end yield and tail throughput ride along, plus the batched
-// Simmons Newton and the operating-point cache hit rate.
+// End-to-end yield and tail throughput ride along, plus per-ISA sampler
+// rates (variation blocks, shifted-Gaussian fills), the batched Simmons
+// Newton and the operating-point cache hit rate.
 //
 // The batched kernels dispatch on active_simd_isa(); this bench times
 // every ISA the host supports (forced via set_simd_isa_override, bitwise
@@ -200,6 +201,88 @@ int main(int argc, char** argv) {
   }
   clear_simd_isa_override();
 
+  // --- samplers: lane-parallel draw streams --------------------------
+  // Each ISA's blocks are checked against the per-cell fork streams
+  // first: variation blocks against MemoryArray's cells, Gaussian fills
+  // against fork + sample_standard_normal + shift per trial.
+  const std::vector<double> shift = {0.5, -1.25, 2.0, 0.0, -0.75};
+  static_assert(kTailDimensions == 5);
+  const std::size_t fill_trials = 16384;
+  std::vector<double> fill_oracle(fill_trials * shift.size());
+  for (std::size_t trial = 0; trial < fill_trials; ++trial) {
+    Xoshiro256 stream = cell_master.fork(trial);
+    for (std::size_t d = 0; d < shift.size(); ++d) {
+      fill_oracle[trial * shift.size() + d] =
+          shift[d] + sample_standard_normal(stream);
+    }
+  }
+  VariationBlock sample_block;
+  GaussianBlock fill_block;
+  fill_block.reset(shift.size(), kMcBlockSize);
+  const auto sample_all = [&](bool check) {
+    bool ok = true;
+    for (std::size_t first = 0; first < cells; first += kMcBlockSize) {
+      const std::size_t count = std::min(cells - first, kMcBlockSize);
+      sample_variation_block(cell_master, variation, 917.0,
+                             cfg.sigma_access, first, count, sample_block);
+      for (std::size_t lane = 0; check && lane < count; ++lane) {
+        const std::size_t idx = first + lane;
+        const ArrayCell& cell =
+            array.cell(idx / cfg.geometry.cols, idx % cfg.geometry.cols);
+        ok = ok && sample_block.r_low0[lane] == cell.params.r_low0.value() &&
+             sample_block.r_high0[lane] == cell.params.r_high0.value() &&
+             sample_block.droop_low[lane] == cell.params.droop_low.value() &&
+             sample_block.droop_high[lane] ==
+                 cell.params.droop_high.value() &&
+             sample_block.r_access[lane] == cell.r_access.value();
+      }
+    }
+    sink = sample_block.r_access[0];
+    return ok;
+  };
+  const auto fill_all = [&](bool check) {
+    bool ok = true;
+    for (std::size_t first = 0; first < fill_trials; first += kMcBlockSize) {
+      const std::size_t count = std::min(fill_trials - first, kMcBlockSize);
+      fill_shifted_gaussian_block(cell_master, shift, first, count,
+                                  fill_block);
+      for (std::size_t lane = 0; check && lane < count; ++lane) {
+        for (std::size_t d = 0; d < shift.size(); ++d) {
+          ok = ok && fill_block.axis(d)[lane] ==
+                         fill_oracle[(first + lane) * shift.size() + d];
+        }
+      }
+    }
+    sink = fill_block.dot[0];
+    return ok;
+  };
+  bool draws_identical = true;
+  double sample_active_s = 0.0, fill_active_s = 0.0;
+  std::printf("samplers (variation: %zu cells, gaussian fill: %zu trials x "
+              "%zu dims):\n",
+              cells, fill_trials, shift.size());
+  for (SimdIsa isa : {SimdIsa::kScalar, SimdIsa::kSse2, SimdIsa::kNeon,
+                      SimdIsa::kAvx2, SimdIsa::kAvx512}) {
+    if (!simd_isa_supported(isa)) continue;
+    set_simd_isa_override(isa);
+    const bool isa_ok = sample_all(true) && fill_all(true);
+    draws_identical = draws_identical && isa_ok;
+    const double sample_s = best_of(10, [&] { sample_all(false); });
+    const double fill_s = best_of(10, [&] { fill_all(false); });
+    if (isa == active_isa) {
+      sample_active_s = sample_s;
+      fill_active_s = fill_s;
+    }
+    std::printf("  %-7s variation sample %7.2f ns/cell   gaussian fill "
+                "%7.2f ns/trial%s%s\n",
+                simd_isa_name(isa), 1e9 * sample_s / static_cast<double>(cells),
+                1e9 * fill_s / static_cast<double>(fill_trials),
+                isa == active_isa ? "  [active]" : "",
+                isa_ok ? "" : "  MISMATCH vs fork streams");
+  }
+  clear_simd_isa_override();
+  std::printf("\n");
+
   // Heap-object oracle timing (the pre-batching per-cell path).
   const double scalar_s = best_of(5, [&] {
     std::array<SenseMargins, 4> m;
@@ -290,6 +373,9 @@ int main(int argc, char** argv) {
                identical);
   bench::claim("end-to-end yield identical with batching on vs off",
                e2e_identical);
+  bench::claim("lane draws bit-identical to per-cell fork streams "
+               "(every supported ISA)",
+               draws_identical);
   if (batch) {
     bench::claim("margin-solve kernel >= 10x the scalar path", speedup >= 10.0);
     if (avx2_class) {
@@ -335,10 +421,17 @@ int main(int argc, char** argv) {
   snap.add_metric("tail_trials_per_second",
                   static_cast<double>(tail_trials) / tail_s, "trial/s",
                   /*higher_is_better=*/true);
+  snap.add_metric("variation_sample_ns_per_cell",
+                  1e9 * sample_active_s / static_cast<double>(cells), "ns",
+                  /*higher_is_better=*/false);
+  snap.add_metric("gaussian_fill_ns_per_trial",
+                  1e9 * fill_active_s / static_cast<double>(fill_trials),
+                  "ns", /*higher_is_better=*/false);
   snap.add_metric("simmons_newton_solves_per_second", simmons_rate,
                   "solve/s", /*higher_is_better=*/true);
   snap.add_metric("opcache_hit_rate", hit_rate, "ratio",
                   /*higher_is_better=*/true);
   bench::write_snapshot(snap);
-  return identical && e2e_identical && simd_ok ? 0 : 1;
+  return bench::exit_status(
+      identical && e2e_identical && draws_identical && simd_ok ? 0 : 1);
 }

@@ -150,5 +150,5 @@ int main(int argc, char** argv) {
   snap.add_histogram("nondestructive_latency", reports[2].latency_hist, "s");
   snap.add_histogram("md1_crosscheck_latency", des.latency_hist, "s");
   bench::write_snapshot(snap);
-  return 0;
+  return bench::exit_status();
 }

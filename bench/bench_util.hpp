@@ -63,9 +63,25 @@ inline void compare(const std::string& what, double paper, double measured,
               rel);
 }
 
-/// A qualitative reproduction claim.
+/// Number of claims this process has printed as [MISS].
+inline int& claim_misses() {
+  static int misses = 0;
+  return misses;
+}
+
+/// A qualitative reproduction claim.  A [MISS] makes the bench fail
+/// (exit_status below), so a lost reproduction fails ctest's `claims`
+/// label instead of scrolling past.
 inline void claim(const std::string& what, bool holds) {
   std::printf("  %-60s [%s]\n", what.c_str(), holds ? "REPRODUCED" : "MISS");
+  if (!holds) ++claim_misses();
+}
+
+/// A bench's process exit status: its own `status` if non-zero, else 1
+/// when any claim missed, else 0.
+inline int exit_status(int status = 0) {
+  if (status != 0) return status;
+  return claim_misses() > 0 ? 1 : 0;
 }
 
 }  // namespace sttram::bench

@@ -110,5 +110,5 @@ int main(int argc, char** argv) {
     snap.add_histogram("mc_trial_seconds", trials, "s");
   }
   bench::write_snapshot(snap);
-  return 0;
+  return bench::exit_status();
 }

@@ -226,6 +226,17 @@ T parse_number(const char* text, const char* what) {
   return value;
 }
 
+/// parse_number, additionally refusing 0 (array sizes, beta).
+template <class T>
+T parse_positive(const char* text, const char* what) {
+  const T value = parse_number<T>(text, what);
+  if (!(value > T{})) {
+    throw UsageError(std::string(what) + ": expected a positive number, got '" +
+                     text + "'");
+  }
+  return value;
+}
+
 /// Rejects any "--flag" token the subcommand does not understand.
 /// `allowed` is a null-terminated list of accepted flag spellings.
 bool reject_unknown_flags(int argc, char** argv,
@@ -256,7 +267,7 @@ int cmd_margins(int argc, char** argv) {
   const NondestructiveSelfReference nondes(mtj, r_t, config);
   const DestructiveSelfReference destr(mtj, r_t, config);
   const double beta =
-      argc > 2 ? parse_number<double>(argv[2], "beta") : nondes.paper_beta();
+      argc > 2 ? parse_positive<double>(argv[2], "beta") : nondes.paper_beta();
   const ConventionalSensing conv(mtj, r_t, config.i_max);
   const ReferenceCellSensing refcell(mtj, mtj, r_t, config.i_max);
 
@@ -345,10 +356,10 @@ int cmd_yield(int argc, char** argv) {
     } else if (std::strcmp(argv[k], "--no-batch") == 0) {
       cfg.use_batch = false;
     } else if (positional == 0) {
-      rows = parse_number<std::size_t>(argv[k], "rows");
+      rows = parse_positive<std::size_t>(argv[k], "rows");
       ++positional;
     } else if (positional == 1) {
-      cols = parse_number<std::size_t>(argv[k], "cols");
+      cols = parse_positive<std::size_t>(argv[k], "cols");
       ++positional;
     } else {
       cfg.variation.sigma_common = parse_number<double>(argv[k], "sigma");
@@ -363,7 +374,8 @@ int cmd_yield(int argc, char** argv) {
     std::fprintf(stderr, "error: --retry wants a count >= 1\n");
     return 2;
   }
-  if (rows > 0 && cols > 0) cfg.geometry = {rows, cols};
+  if (positional == 1) throw UsageError("yield: rows given without cols");
+  if (positional == 2) cfg.geometry = {rows, cols};
   cfg.max_scatter_points = 1;
 
   if (fault_density >= 0.0) {

@@ -102,8 +102,13 @@ namespace simd {
 // path.  Each TU keeps its own copy, built with its own flags.
 namespace {
 
-/// Maps a lane count to the GCC vector types of that width.  Explicit
-/// specializations: `vector_size` must be a literal, not W-dependent.
+/// Maps a lane count to the GCC vector types of that width: `vd` double
+/// lanes, `vm` the signed compare-mask type (-1 / 0 per lane) and `vu`
+/// unsigned 64-bit integer lanes.  Integer arithmetic (the rng lanes)
+/// runs on `vu` only, where shifts are logical and overflow wraps; a
+/// compare result is cast to `vu` before it is combined with them.
+/// Explicit specializations: `vector_size` must be a literal, not
+/// W-dependent.
 template <int W>
 struct LaneTraits;
 
@@ -111,21 +116,25 @@ template <>
 struct LaneTraits<1> {
   typedef double vd __attribute__((vector_size(8)));
   typedef long long vm __attribute__((vector_size(8)));
+  typedef unsigned long long vu __attribute__((vector_size(8)));
 };
 template <>
 struct LaneTraits<2> {
   typedef double vd __attribute__((vector_size(16)));
   typedef long long vm __attribute__((vector_size(16)));
+  typedef unsigned long long vu __attribute__((vector_size(16)));
 };
 template <>
 struct LaneTraits<4> {
   typedef double vd __attribute__((vector_size(32)));
   typedef long long vm __attribute__((vector_size(32)));
+  typedef unsigned long long vu __attribute__((vector_size(32)));
 };
 template <>
 struct LaneTraits<8> {
   typedef double vd __attribute__((vector_size(64)));
   typedef long long vm __attribute__((vector_size(64)));
+  typedef unsigned long long vu __attribute__((vector_size(64)));
 };
 
 /// W double lanes.  Arithmetic is element-wise IEEE-754; min/max/abs are
@@ -188,9 +197,10 @@ struct Vec {
   }
 };
 
-/// True when any lane of a compare-result mask is set.
-template <int W>
-inline bool mask_any(typename LaneTraits<W>::vm m) {
+/// True when any lane of a W-lane mask (a compare result `vm` or an
+/// unsigned `vu` mask) is nonzero.
+template <int W, class Mask>
+inline bool mask_any(Mask m) {
   bool any = false;
   for (int i = 0; i < W; ++i) any |= (m[i] != 0);
   return any;

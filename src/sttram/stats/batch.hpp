@@ -14,8 +14,10 @@
 // lane)`), drawn in exactly the scalar draw order — so the SoA arrays
 // hold the *same doubles* the scalar path consumed, and any batch
 // split of [0, trials) produces identical values lane by lane.  The
-// Gaussian fills below vectorize only the polar sampler's value tail
-// (batch_simd.hpp); the rejection draws stay scalar per lane.
+// polar rejection runs on SIMD lanes too: W xoshiro256** streams advance
+// in lock step, and a lane whose pair is accepted is masked off, so it
+// consumes its stream draw for draw (batch_simd.hpp).  Only the libm
+// log/exp calls stay scalar per lane.
 //
 // (Sampling *device* variation into a VariationBlock lives in
 // device/variation.hpp — the distribution parameters are the device
@@ -78,12 +80,46 @@ struct GaussianBlock {
   }
 };
 
-/// Runs the Marsaglia polar rejection loop of sample_standard_normal
-/// (consuming exactly the same rng draws) but stops before the value
-/// tail: stores the accepted (u, s) pair instead of returning
-/// u * sqrt(-2 log(s) / s).  Staging building block for the batched
-/// Gaussian fills here and in device/variation.hpp.
-void stage_polar_pair(Xoshiro256& rng, double* u_out, double* s_out);
+/// A truncated-normal draw N(mean, stddev) restricted to [lo, hi] whose
+/// value is consumed and dropped: it walks exactly the rng draws of
+/// sample_truncated_normal, so every later draw of the lane stays
+/// aligned with the scalar path, but nothing is stored.  Each candidate
+/// normal is one accepted polar pair (u, s), n = u * sqrt(-2 log(s) / s).
+/// Because u^2 <= s, |n| <= sqrt(-2 ln s): a pair with s >= s_safe lands
+/// inside [lo, hi] whatever u is, and is accepted without evaluating
+/// log (DESIGN.md §14.1).  Any other pair runs the scalar test.
+struct PolarWindow {
+  double mean = 0.0;
+  double stddev = 0.0;
+  double lo = 0.0;
+  double hi = 0.0;
+  double s_safe = 1.0;          ///< s >= s_safe accepts without a log
+  std::size_t before_pair = 0;  ///< runs just before stored pair #before_pair
+
+  /// Requires lo < hi and stddev > 0; derives s_safe conservatively.
+  static PolarWindow make(double mean, double stddev, double lo, double hi,
+                          std::size_t before_pair);
+
+  /// sample_truncated_normal's test of the candidate sample_normal
+  /// returns for this pair: lo <= mean + stddev * n <= hi, log included.
+  /// The stager calls it only for pairs with s < s_safe.
+  [[nodiscard]] bool accepts_exact(double u, double s) const;
+};
+
+/// Runs the Marsaglia polar rejection loop of sample_standard_normal for
+/// lanes [first, first + count) of `master`'s fork streams, but stops
+/// before the value tail.  Lane i walks master.fork(first + i) and stores
+/// its `pairs` accepted pairs in draw order: pair p goes to
+/// u_rows[p * stride + i] / s_rows[p * stride + i] instead of returning
+/// u * sqrt(-2 log(s) / s).  A non-null `window` adds its dropped draw
+/// before pair window->before_pair (< pairs).  The lanes run on the
+/// active SIMD ISA, each consuming its stream draw for draw as the
+/// scalar sampler does.  Throws NumericError where
+/// sample_truncated_normal would.
+void stage_polar_pairs(const Xoshiro256& master, std::size_t first,
+                       std::size_t count, std::size_t pairs,
+                       const PolarWindow* window, double* u_rows,
+                       double* s_rows, std::size_t stride);
 
 /// Value tail over staged rows: out[i] = u[i] * sqrt(-2 log(s[i]) / s[i]),
 /// bit-identical per lane to sample_standard_normal's return.  The

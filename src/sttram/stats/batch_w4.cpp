@@ -1,4 +1,4 @@
-// Width-4 Gaussian tails, compiled with -mavx2 -ffp-contract=off.
+// Width-4 Gaussian kernels, compiled with -mavx2 -ffp-contract=off.
 #include "sttram/stats/batch_simd.hpp"
 
 namespace sttram {
@@ -7,7 +7,8 @@ const StatsSimdKernels* stats_simd_kernels_w4() {
 #if defined(__x86_64__)
   static const StatsSimdKernels kernels{
       &simd_detail::polar_tail_simd<4>,
-      &simd_detail::gaussian_axis_simd<4>};
+      &simd_detail::gaussian_axis_simd<4>,
+      &simd_detail::polar_stage_simd<4>};
   return &kernels;
 #else
   return nullptr;

@@ -48,11 +48,14 @@ double sample_truncated_normal(Xoshiro256& rng, double mean, double stddev,
             "sample_truncated_normal: degenerate mean outside [lo, hi]");
     return mean;
   }
-  constexpr int kMaxTries = 100000;
-  for (int i = 0; i < kMaxTries; ++i) {
+  for (int i = 0; i < kTruncatedNormalMaxTries; ++i) {
     const double x = sample_normal(rng, mean, stddev);
     if (x >= lo && x <= hi) return x;
   }
+  throw_truncated_normal_exhausted();
+}
+
+void throw_truncated_normal_exhausted() {
   throw NumericError(
       "sample_truncated_normal: rejection sampling failed (window too far "
       "in the tail)");

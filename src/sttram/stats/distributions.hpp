@@ -27,9 +27,15 @@ double sample_lognormal_median(Xoshiro256& rng, double median,
 double sample_uniform(Xoshiro256& rng, double lo, double hi);
 
 /// Normal deviate truncated to [lo, hi] by rejection (lo < hi required;
-/// throws NumericError if acceptance is hopeless).
+/// throws NumericError after kTruncatedNormalMaxTries rejected normals).
 double sample_truncated_normal(Xoshiro256& rng, double mean, double stddev,
                                double lo, double hi);
+
+inline constexpr int kTruncatedNormalMaxTries = 100000;
+
+/// The NumericError sample_truncated_normal throws when every try missed
+/// the window (shared with the batched stager, stats/batch.hpp).
+[[noreturn]] void throw_truncated_normal_exhausted();
 
 /// Standard normal CDF Phi(x).
 double normal_cdf(double x);

@@ -98,6 +98,12 @@ expect_exit2 "$cli" yield -4 8
 expect_exit2 "$cli" fault --rows -1
 expect_exit2 "$cli" tail abc
 expect_exit2 "$cli" traffic --requests 10x
+# A zero array size, a missing column count or a zero beta is a usage
+# error too, not a silent default array or an internal error.
+expect_exit2 "$cli" yield 0 8
+expect_exit2 "$cli" yield 8 0
+expect_exit2 "$cli" yield 5
+expect_exit2 "$cli" margins 0
 
 count="$(echo "$flags" | wc -l)"
 [ "$status" -eq 0 ] && echo "OK: help texts identical, $count flags documented, usage errors exit 2"

@@ -3,6 +3,7 @@
 // (DESIGN.md §14), plus the operating-point cache's correctness contract.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <vector>
@@ -18,6 +19,7 @@
 #include "sttram/sim/tail.hpp"
 #include "sttram/sim/yield.hpp"
 #include "sttram/stats/batch.hpp"
+#include "sttram/stats/distributions.hpp"
 #include "sttram/stats/importance.hpp"
 
 namespace sttram {
@@ -535,31 +537,178 @@ TEST(McSimd, ForcedIsaMatrixBitIdenticalToScalar) {
 
 // --------------------------------------------------- sampling fidelity
 
+/// Every ISA this host can run, narrowest first.
+std::vector<SimdIsa> supported_isas() {
+  std::vector<SimdIsa> out;
+  for (const SimdIsa isa : {SimdIsa::kScalar, SimdIsa::kSse2, SimdIsa::kNeon,
+                            SimdIsa::kAvx2, SimdIsa::kAvx512}) {
+    if (simd_isa_supported(isa)) out.push_back(isa);
+  }
+  return out;
+}
+
+/// Block sizes that cover [0, total): a 3-lane block first, so every
+/// later block starts off a multiple of the lane width, then `step`-lane
+/// blocks and a remainder.
+std::vector<std::size_t> offset_blocks(std::size_t total, std::size_t step) {
+  std::vector<std::size_t> counts = {std::min<std::size_t>(3, total)};
+  for (std::size_t first = counts[0]; first < total; first += step) {
+    counts.push_back(std::min(step, total - first));
+  }
+  return counts;
+}
+
 TEST(McBatchSampling, VariationBlockMatchesMemoryArrayDraws) {
+  // Every ISA, against MemoryArray's per-cell fork streams.  7 x 13 = 91
+  // cells leaves remainder lanes at every width; the block grid starts
+  // both on and off a multiple of the width.  sigma_icrit = 0 skips the
+  // i_critical draw; at 0.05 the s_safe shortcut accepts nearly every
+  // candidate; at 0.3 lo clamps to 0.05; at 3.0 most candidates take the
+  // exact log test and about a third of them are rejected.
   const MtjParams nominal = MtjParams::paper_calibrated();
-  const VariationParams vp;
-  const MtjVariationModel variation(nominal, vp);
-  const ArrayGeometry geometry{8, 16};
   const double sigma_access = 0.02;
   const std::uint64_t seed = 20100308;
-  const MemoryArray array(geometry, variation, sigma_access, seed);
   const Xoshiro256 master(seed);
-  const std::size_t cells = geometry.cell_count();
   VariationBlock block;
-  for (std::size_t first = 0; first < cells; first += kMcBlockSize) {
-    const std::size_t count = std::min(cells - first, kMcBlockSize);
-    sample_variation_block(master, variation, 917.0, sigma_access, first,
-                           count, block);
-    for (std::size_t lane = 0; lane < count; ++lane) {
-      const std::size_t idx = first + lane;
-      const ArrayCell& cell =
-          array.cell(idx / geometry.cols, idx % geometry.cols);
-      EXPECT_EQ(block.r_low0[lane], cell.params.r_low0.value());
-      EXPECT_EQ(block.r_high0[lane], cell.params.r_high0.value());
-      EXPECT_EQ(block.droop_low[lane], cell.params.droop_low.value());
-      EXPECT_EQ(block.droop_high[lane], cell.params.droop_high.value());
-      EXPECT_EQ(block.r_access[lane], cell.r_access.value());
+  for (const double sigma_icrit : {0.0, 0.05, 0.3, 3.0}) {
+    VariationParams vp;
+    vp.sigma_icrit = sigma_icrit;
+    const MtjVariationModel variation(nominal, vp);
+    for (const ArrayGeometry geometry :
+         {ArrayGeometry{8, 16}, ArrayGeometry{7, 13}}) {
+      const MemoryArray array(geometry, variation, sigma_access, seed);
+      const std::size_t cells = geometry.cell_count();
+      const std::vector<std::size_t> aligned(
+          (cells + kMcBlockSize - 1) / kMcBlockSize, kMcBlockSize);
+      for (const SimdIsa isa : supported_isas()) {
+        ScopedSimdIsa forced(isa);
+        for (const std::vector<std::size_t>& counts :
+             {aligned, offset_blocks(cells, kMcBlockSize)}) {
+          std::size_t first = 0;
+          for (std::size_t count : counts) {
+            count = std::min(count, cells - first);
+            SCOPED_TRACE(testing::Message()
+                         << simd_isa_name(isa) << " sigma_icrit "
+                         << sigma_icrit << " cells " << cells << " first "
+                         << first);
+            sample_variation_block(master, variation, 917.0, sigma_access,
+                                   first, count, block);
+            for (std::size_t lane = 0; lane < count; ++lane) {
+              const std::size_t idx = first + lane;
+              const ArrayCell& cell =
+                  array.cell(idx / geometry.cols, idx % geometry.cols);
+              EXPECT_EQ(block.r_low0[lane], cell.params.r_low0.value());
+              EXPECT_EQ(block.r_high0[lane], cell.params.r_high0.value());
+              EXPECT_EQ(block.droop_low[lane], cell.params.droop_low.value());
+              EXPECT_EQ(block.droop_high[lane],
+                        cell.params.droop_high.value());
+              EXPECT_EQ(block.r_access[lane], cell.r_access.value());
+            }
+            first += count;
+          }
+          EXPECT_EQ(first, cells);
+        }
+      }
     }
+  }
+}
+
+TEST(McBatchSampling, GaussianFillMatchesPerTrialForkStreams) {
+  // Every ISA, against importance_sample's per-trial draws: fork the
+  // trial's stream, then per dimension z = shift + sample_standard_normal,
+  // dot += shift * z.  Blocks of 3, 75 (wider than kMcBlockSize) and a
+  // remainder, so strips start off a multiple of the width and every
+  // width runs whole strip groups, single strips and W = 1 tail lanes.
+  const Xoshiro256 master(977);
+  const std::size_t trials = 203;
+  for (const std::vector<double>& shift :
+       {std::vector<double>{0.5, -1.25, 2.0, 0.0, -0.75},
+        std::vector<double>{3.0}}) {
+    const std::size_t dim = shift.size();
+    std::vector<double> z(trials * dim), dot(trials, 0.0);
+    for (std::size_t trial = 0; trial < trials; ++trial) {
+      Xoshiro256 stream = master.fork(trial);
+      for (std::size_t d = 0; d < dim; ++d) {
+        z[trial * dim + d] = shift[d] + sample_standard_normal(stream);
+        dot[trial] += shift[d] * z[trial * dim + d];
+      }
+    }
+    GaussianBlock block;
+    block.reset(dim, 75);
+    for (const SimdIsa isa : supported_isas()) {
+      ScopedSimdIsa forced(isa);
+      std::size_t first = 0;
+      for (const std::size_t count : offset_blocks(trials, 75)) {
+        SCOPED_TRACE(testing::Message() << simd_isa_name(isa) << " dim "
+                                        << dim << " first " << first);
+        fill_shifted_gaussian_block(master, shift, first, count, block);
+        ASSERT_EQ(block.size, count);
+        for (std::size_t lane = 0; lane < count; ++lane) {
+          for (std::size_t d = 0; d < dim; ++d) {
+            EXPECT_EQ(block.axis(d)[lane], z[(first + lane) * dim + d]);
+          }
+          EXPECT_EQ(block.dot[lane], dot[first + lane]);
+        }
+        first += count;
+      }
+      EXPECT_EQ(first, trials);
+    }
+  }
+}
+
+TEST(McBatchSampling, WindowShortcutMatchesExactDecision) {
+  // The stager accepts a pair with s >= s_safe without the exact test,
+  // so the exact test must accept every such pair.  |n| = |u|
+  // sqrt(-2 ln s / s) <= sqrt(-2 ln s), with equality at |u| = sqrt(s):
+  // the worst candidates.  Probe s on a fine grid bracketing s_safe (and
+  // its neighbouring doubles) on both sides of the mean.
+  struct Window {
+    double mean, stddev, lo, hi;
+  };
+  for (const Window c : {Window{1.0, 0.05, 0.8, 1.2},
+                         Window{1.0, 0.3, 0.05, 2.2},
+                         Window{1.0, 3.0, 0.05, 13.0},
+                         Window{0.0, 1.0, -0.5, 4.0}}) {
+    SCOPED_TRACE(testing::Message() << "stddev " << c.stddev);
+    const PolarWindow w = PolarWindow::make(c.mean, c.stddev, c.lo, c.hi, 0);
+    ASSERT_GT(w.s_safe, 0.0);
+    ASSERT_LT(w.s_safe, 1.0);
+    std::vector<double> probes = {w.s_safe, std::nextafter(w.s_safe, 0.0),
+                                  std::nextafter(w.s_safe, 1.0)};
+    for (int j = -640; j <= 640; ++j) {
+      const double s = w.s_safe * std::exp2(j / 64.0);
+      if (s < 1.0) probes.push_back(s);
+    }
+    std::size_t shortcut = 0, rejected = 0;
+    for (const double s : probes) {
+      for (const double u : {std::sqrt(s), -std::sqrt(s)}) {
+        const bool exact = w.accepts_exact(u, s);
+        if (s >= w.s_safe) {
+          EXPECT_TRUE(exact) << "s " << s << " u " << u;
+          ++shortcut;
+        }
+        rejected += exact ? 0 : 1;
+      }
+    }
+    EXPECT_GT(shortcut, 0u);
+    EXPECT_GT(rejected, 0u);  // the grid reaches past the window's edge
+  }
+  // A window that excludes the mean never takes the shortcut.
+  EXPECT_EQ(PolarWindow::make(0.0, 1.0, 40.0, 41.0, 0).s_safe, 1.0);
+}
+
+TEST(McBatchSampling, HopelessWindowThrowsLikeTheScalarSampler) {
+  Xoshiro256 rng(3);
+  EXPECT_THROW((void)sample_truncated_normal(rng, 0.0, 1.0, 40.0, 41.0),
+               NumericError);
+  const PolarWindow w = PolarWindow::make(0.0, 1.0, 40.0, 41.0, 0);
+  std::vector<double> u(9), s(9);
+  for (const SimdIsa isa : supported_isas()) {
+    SCOPED_TRACE(simd_isa_name(isa));
+    ScopedSimdIsa forced(isa);
+    EXPECT_THROW(stage_polar_pairs(Xoshiro256(3), 0, u.size(), 1, &w,
+                                   u.data(), s.data(), u.size()),
+                 NumericError);
   }
 }
 
