@@ -15,32 +15,31 @@
 namespace sttram::spice {
 namespace {
 
-/// Assembles the MNA system at the given context and returns the Newton
-/// update target x_new (solution of the linearized system).
-std::vector<double> assemble_and_solve(Circuit& circuit,
-                                       const StampContext& ctx,
-                                       double gmin) {
-  const std::size_t n = circuit.unknown_count();
-  const std::size_t nodes = circuit.node_count();
-  Matrix a(n, n);
-  std::vector<double> b(n, 0.0);
-  MnaStamper stamper(a, b, nodes);
-  for (std::size_t k = 0; k < nodes; ++k) {
-    a(k, k) += gmin;  // keep every node weakly grounded
+/// Preallocated MNA system of one analysis.  The netlist is split once
+/// into linear elements (stamps fixed for a whole Newton solve: they
+/// depend only on time, dt, the previous time point and history) and
+/// nonlinear ones (restamped every iteration), so the Newton loop
+/// allocates nothing.  DESIGN.md §16.
+struct NewtonWorkspace {
+  explicit NewtonWorkspace(const Circuit& circuit)
+      : base_a(circuit.unknown_count(), circuit.unknown_count()),
+        base_b(circuit.unknown_count()),
+        a(base_a),
+        b(base_b) {
+    linear.reserve(circuit.element_count());
+    nonlinear.reserve(circuit.element_count());
+    for (const auto& e : circuit.elements()) {
+      (e->is_nonlinear() ? nonlinear : linear).push_back(e.get());
+    }
   }
-  for (const auto& e : circuit.elements()) {
-    e->stamp(stamper, ctx);
-  }
-  STTRAM_OBS_COUNT("spice.newton.factorizations");
-  return solve_linear_system(std::move(a), std::move(b));
-}
 
-bool any_nonlinear(const Circuit& circuit) {
-  for (const auto& e : circuit.elements()) {
-    if (e->is_nonlinear()) return true;
-  }
-  return false;
-}
+  std::vector<const Element*> linear;     ///< netlist order
+  std::vector<const Element*> nonlinear;  ///< netlist order
+  Matrix base_a;               ///< gmin + linear stamps of the current solve
+  std::vector<double> base_b;  ///< RHS of the linear stamps
+  Matrix a;                    ///< base + nonlinear stamps, factored in place
+  std::vector<double> b;       ///< RHS, then x_new once solved
+};
 
 /// Outcome of one Newton solve, kept for solver telemetry and for
 /// attaching convergence context to CircuitError messages.
@@ -53,19 +52,37 @@ struct NewtonReport {
 
 /// One Newton solve at fixed (time, dt, gmin).  x holds the final
 /// iterate whether or not the solve converged.
-NewtonReport newton_solve(Circuit& circuit, StampContext ctx,
-                          const NewtonOptions& opt, double gmin,
-                          std::vector<double>& x) {
+///
+/// Each matrix / RHS entry sums gmin, then the linear stamps, then the
+/// nonlinear ones, each group in netlist order.  That is bit-identical to
+/// stamping the whole netlist in order unless a linear element listed
+/// after a nonlinear one stamps the same entry.
+NewtonReport newton_solve(NewtonWorkspace& ws, const Circuit& circuit,
+                          StampContext ctx, const NewtonOptions& opt,
+                          double gmin, std::vector<double>& x) {
   STTRAM_PROFILE_SCOPE("spice.newton");
   NewtonReport report;
-  const bool nonlinear = any_nonlinear(circuit);
+  const bool nonlinear = !ws.nonlinear.empty();
+  const std::size_t nodes = circuit.node_count();
   ctx.x = &x;
+  ws.base_a.clear();
+  std::fill(ws.base_b.begin(), ws.base_b.end(), 0.0);
+  for (std::size_t k = 0; k < nodes; ++k) {
+    ws.base_a(k, k) += gmin;  // keep every node weakly grounded
+  }
+  MnaStamper base(ws.base_a, ws.base_b, nodes);
+  for (const Element* e : ws.linear) e->stamp(base, ctx);
+  MnaStamper stamper(ws.a, ws.b, nodes);
+  std::vector<double>& x_new = ws.b;
   for (int iter = 0; iter < opt.max_iterations; ++iter) {
     ++report.iterations;
-    std::vector<double> x_new = assemble_and_solve(circuit, ctx, gmin);
+    ws.a = ws.base_a;  // same size: copies without allocating
+    ws.b = ws.base_b;
+    for (const Element* e : ws.nonlinear) e->stamp(stamper, ctx);
+    STTRAM_OBS_COUNT("spice.newton.factorizations");
+    lu_solve_in_place(ws.a, ws.b);
     double max_delta = 0.0;
     NodeId worst = kGround;
-    const std::size_t nodes = circuit.node_count();
     for (std::size_t k = 0; k < x.size(); ++k) {
       double delta = x_new[k] - x[k];
       // Damp only voltage unknowns of nonlinear systems; a linear solve
@@ -84,7 +101,7 @@ NewtonReport newton_solve(Circuit& circuit, StampContext ctx,
     const bool converged =
         max_delta <= opt.v_abstol ||
         max_delta <= opt.reltol * std::max(1.0, std::fabs(x_new[0]));
-    x = std::move(x_new);
+    x = x_new;
     if (!nonlinear) {  // linear circuits converge in one solve
       report.converged = true;
       break;
@@ -112,11 +129,9 @@ std::string newton_context(const Circuit& circuit,
          "' (|dV| = " + format_double(report.max_delta, 3) + " V)";
 }
 
-}  // namespace
-
-Solution solve_dc(Circuit& circuit, const NewtonOptions& options,
-                  double time) {
-  if (!circuit.finalized()) circuit.finalize();
+/// DC operating point on a finalized circuit (see solve_dc).
+Solution dc_operating_point(NewtonWorkspace& ws, const Circuit& circuit,
+                            const NewtonOptions& options, double time) {
   STTRAM_OBS_COUNT("spice.dc.solves");
   StampContext ctx;
   ctx.time = time;
@@ -125,7 +140,7 @@ Solution solve_dc(Circuit& circuit, const NewtonOptions& options,
   std::vector<double> x(circuit.unknown_count(), 0.0);
   ctx.x_prev = nullptr;
   const NewtonReport direct =
-      newton_solve(circuit, ctx, options, options.gmin, x);
+      newton_solve(ws, circuit, ctx, options, options.gmin, x);
   if (direct.converged) {
     return Solution{std::move(x)};
   }
@@ -136,7 +151,7 @@ Solution solve_dc(Circuit& circuit, const NewtonOptions& options,
   std::fill(x.begin(), x.end(), 0.0);
   NewtonReport last = direct;
   for (int decade = 0; decade <= options.gmin_ramp_decades; ++decade) {
-    last = newton_solve(circuit, ctx, options, gmin, x);
+    last = newton_solve(ws, circuit, ctx, options, gmin, x);
     STTRAM_OBS_COUNT("spice.dc.gmin_decades");
     if (!last.converged) {
       throw CircuitError(
@@ -155,6 +170,15 @@ Solution solve_dc(Circuit& circuit, const NewtonOptions& options,
       std::to_string(options.gmin_ramp_decades + 1) +
       " decades walked, final gmin = " + format_double(gmin, 3) + " S, " +
       newton_context(circuit, last) + ")");
+}
+
+}  // namespace
+
+Solution solve_dc(Circuit& circuit, const NewtonOptions& options,
+                  double time) {
+  if (!circuit.finalized()) circuit.finalize();
+  NewtonWorkspace ws(circuit);
+  return dc_operating_point(ws, circuit, options, time);
 }
 
 std::vector<Solution> dc_sweep(Circuit& circuit,
@@ -281,13 +305,14 @@ TransientResult run_transient(Circuit& circuit,
   }
   TransientResult result(std::move(names), circuit.node_count());
 
+  NewtonWorkspace ws(circuit);
   std::vector<double> x_prev;
   if (initial != nullptr) {
     require(initial->x.size() == circuit.unknown_count(),
             "run_transient: initial solution size mismatch");
     x_prev = initial->x;
   } else {
-    x_prev = solve_dc(circuit, options.newton, options.t_start).x;
+    x_prev = dc_operating_point(ws, circuit, options.newton, options.t_start).x;
   }
   result.append(options.t_start, x_prev);
 
@@ -337,12 +362,12 @@ TransientResult run_transient(Circuit& circuit,
     ctx.integrator = options.integrator;
     ctx.x_prev = &x_prev;
     x = x_prev;  // warm start
-    const NewtonReport rep =
-        newton_solve(circuit, ctx, options.newton, options.newton.gmin, x);
+    const NewtonReport rep = newton_solve(ws, circuit, ctx, options.newton,
+                                          options.newton.gmin, x);
     if (!rep.converged) {
-      throw CircuitError("run_transient: Newton failed at t=" +
-                         std::to_string(t_new) +
-                         " (dt = " + format_double(h, 3) + " s, " +
+      throw CircuitError("run_transient: Newton failed at t = " +
+                         format_double(t_new, 6) +
+                         " s (dt = " + format_double(h, 3) + " s, " +
                          newton_context(circuit, rep) + ")");
     }
 

@@ -94,7 +94,9 @@ class Element {
   [[nodiscard]] virtual int branch_count() const { return 0; }
 
   /// True when the stamp depends on the current iterate (forces Newton
-  /// iteration instead of a single linear solve).
+  /// iteration instead of a single linear solve).  The analyses ask once
+  /// per analysis and stamp a linear element once per Newton solve, so a
+  /// linear stamp must not read ctx.x.
   [[nodiscard]] virtual bool is_nonlinear() const { return false; }
 
   /// Called once per *accepted* transient step with the converged

@@ -201,9 +201,16 @@ class MtjElement final : public Element {
   [[nodiscard]] double current_for_voltage(double v) const;
 
  private:
+  /// Zero-current resistance of the current state.
+  [[nodiscard]] double r_zero() const {
+    return state_ == MtjState::kParallel ? r_zero_p_ : r_zero_ap_;
+  }
+
   NodeId a_, b_;
   std::unique_ptr<RiModel> model_;
   MtjState state_;
+  double r_zero_p_;   ///< R(P, 0), cached: the model is immutable
+  double r_zero_ap_;  ///< R(AP, 0)
 };
 
 }  // namespace sttram::spice

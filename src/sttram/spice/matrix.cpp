@@ -2,38 +2,24 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <utility>
 
 #include "sttram/common/error.hpp"
 
 namespace sttram::spice {
 
-Matrix::Matrix(std::size_t rows, std::size_t cols)
-    : rows_(rows), cols_(cols), data_(rows * cols, 0.0) {}
-
-double& Matrix::operator()(std::size_t r, std::size_t c) {
-  return data_[r * cols_ + c];
-}
-
-double Matrix::operator()(std::size_t r, std::size_t c) const {
-  return data_[r * cols_ + c];
-}
-
 void Matrix::clear() { std::fill(data_.begin(), data_.end(), 0.0); }
 
-LuFactorization::LuFactorization(Matrix a) : lu_(std::move(a)) {
-  require(lu_.rows() == lu_.cols(), "LuFactorization: matrix must be square");
-  const std::size_t n = lu_.rows();
-  perm_.resize(n);
-  for (std::size_t i = 0; i < n; ++i) perm_[i] = i;
-  min_pivot_ = std::numeric_limits<double>::infinity();
+void lu_solve_in_place(Matrix& a, std::vector<double>& b) {
+  const std::size_t n = a.rows();
+  require(a.cols() == n && b.size() == n,
+          "lu_solve_in_place: need a square matrix and a matching RHS");
   for (std::size_t k = 0; k < n; ++k) {
-    // Partial pivoting.
+    // Partial pivoting; the RHS rows swap with the matrix rows.
     std::size_t pivot_row = k;
-    double pivot_mag = std::fabs(lu_(k, k));
+    double pivot_mag = std::fabs(a(k, k));
     for (std::size_t r = k + 1; r < n; ++r) {
-      const double mag = std::fabs(lu_(r, k));
+      const double mag = std::fabs(a(r, k));
       if (mag > pivot_mag) {
         pivot_mag = mag;
         pivot_row = r;
@@ -41,50 +27,37 @@ LuFactorization::LuFactorization(Matrix a) : lu_(std::move(a)) {
     }
     if (pivot_mag < 1e-300) {
       throw CircuitError(
-          "LuFactorization: singular MNA matrix (floating node or "
+          "lu_solve_in_place: singular MNA matrix (floating node or "
           "voltage-source loop?)");
     }
     if (pivot_row != k) {
       for (std::size_t c = 0; c < n; ++c) {
-        std::swap(lu_(k, c), lu_(pivot_row, c));
+        std::swap(a(k, c), a(pivot_row, c));
       }
-      std::swap(perm_[k], perm_[pivot_row]);
+      std::swap(b[k], b[pivot_row]);
     }
-    min_pivot_ = std::min(min_pivot_, pivot_mag);
-    const double inv_pivot = 1.0 / lu_(k, k);
+    const double inv_pivot = 1.0 / a(k, k);
     for (std::size_t r = k + 1; r < n; ++r) {
-      const double factor = lu_(r, k) * inv_pivot;
-      lu_(r, k) = factor;
+      const double factor = a(r, k) * inv_pivot;
+      a(r, k) = factor;
       if (factor == 0.0) continue;
       for (std::size_t c = k + 1; c < n; ++c) {
-        lu_(r, c) -= factor * lu_(k, c);
+        a(r, c) -= factor * a(k, c);
       }
     }
   }
-}
-
-std::vector<double> LuFactorization::solve(std::vector<double> b) const {
-  const std::size_t n = lu_.rows();
-  require(b.size() == n, "LuFactorization::solve: size mismatch");
-  std::vector<double> x(n);
-  for (std::size_t i = 0; i < n; ++i) x[i] = b[perm_[i]];
   // Forward substitution (unit lower triangle).
   for (std::size_t r = 1; r < n; ++r) {
-    double s = x[r];
-    for (std::size_t c = 0; c < r; ++c) s -= lu_(r, c) * x[c];
-    x[r] = s;
+    double s = b[r];
+    for (std::size_t c = 0; c < r; ++c) s -= a(r, c) * b[c];
+    b[r] = s;
   }
   // Back substitution.
   for (std::size_t rr = n; rr-- > 0;) {
-    double s = x[rr];
-    for (std::size_t c = rr + 1; c < n; ++c) s -= lu_(rr, c) * x[c];
-    x[rr] = s / lu_(rr, rr);
+    double s = b[rr];
+    for (std::size_t c = rr + 1; c < n; ++c) s -= a(rr, c) * b[c];
+    b[rr] = s / a(rr, rr);
   }
-  return x;
-}
-
-std::vector<double> solve_linear_system(Matrix a, std::vector<double> b) {
-  return LuFactorization(std::move(a)).solve(std::move(b));
 }
 
 }  // namespace sttram::spice

@@ -10,13 +10,18 @@ namespace sttram::spice {
 class Matrix {
  public:
   Matrix() = default;
-  Matrix(std::size_t rows, std::size_t cols);
+  Matrix(std::size_t rows, std::size_t cols)
+      : rows_(rows), cols_(cols), data_(rows * cols, 0.0) {}
 
   [[nodiscard]] std::size_t rows() const { return rows_; }
   [[nodiscard]] std::size_t cols() const { return cols_; }
 
-  double& operator()(std::size_t r, std::size_t c);
-  double operator()(std::size_t r, std::size_t c) const;
+  double& operator()(std::size_t r, std::size_t c) {
+    return data_[r * cols_ + c];
+  }
+  double operator()(std::size_t r, std::size_t c) const {
+    return data_[r * cols_ + c];
+  }
 
   /// Sets every entry to zero (keeps dimensions).
   void clear();
@@ -27,25 +32,10 @@ class Matrix {
   std::vector<double> data_;
 };
 
-/// LU factorization with partial pivoting of a square matrix.
-/// Throws CircuitError when the matrix is numerically singular.
-class LuFactorization {
- public:
-  explicit LuFactorization(Matrix a);
-
-  /// Solves A x = b.
-  [[nodiscard]] std::vector<double> solve(std::vector<double> b) const;
-
-  /// Largest |pivot| ratio encountered — a crude condition indicator.
-  [[nodiscard]] double min_pivot() const { return min_pivot_; }
-
- private:
-  Matrix lu_;
-  std::vector<std::size_t> perm_;
-  double min_pivot_ = 0.0;
-};
-
-/// One-shot solve of A x = b.
-std::vector<double> solve_linear_system(Matrix a, std::vector<double> b);
+/// Solves A x = b in place by LU factorization with partial pivoting:
+/// `a` is overwritten by its factors and `b` by the solution.  Allocates
+/// nothing, so a Newton loop can reuse one pair of buffers.  Throws
+/// CircuitError when the matrix is numerically singular.
+void lu_solve_in_place(Matrix& a, std::vector<double>& b);
 
 }  // namespace sttram::spice

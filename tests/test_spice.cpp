@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "sttram/common/error.hpp"
 #include "sttram/device/mtj_params.hpp"
@@ -11,6 +12,7 @@
 #include "sttram/spice/analysis.hpp"
 #include "sttram/spice/circuit.hpp"
 #include "sttram/spice/elements.hpp"
+#include "sttram/spice/matrix.hpp"
 
 namespace sttram {
 namespace {
@@ -277,7 +279,8 @@ TEST(SpiceMatrix, SingularMatrixThrows) {
   a(0, 1) = 2.0;
   a(1, 0) = 2.0;
   a(1, 1) = 4.0;  // rank 1
-  EXPECT_THROW(spice::LuFactorization{a}, CircuitError);
+  std::vector<double> b{1.0, 2.0};
+  EXPECT_THROW(spice::lu_solve_in_place(a, b), CircuitError);
 }
 
 TEST(SpiceMatrix, SolvesKnownSystem) {
@@ -285,10 +288,21 @@ TEST(SpiceMatrix, SolvesKnownSystem) {
   // A = [[4,1,0],[1,3,1],[0,1,2]]; x = [1,2,3]; b = A x = [6, 10, 8].
   a(0, 0) = 4; a(0, 1) = 1; a(1, 0) = 1; a(1, 1) = 3; a(1, 2) = 1;
   a(2, 1) = 1; a(2, 2) = 2;
-  const auto x = spice::solve_linear_system(a, {6.0, 10.0, 8.0});
+  std::vector<double> x{6.0, 10.0, 8.0};
+  spice::lu_solve_in_place(a, x);
   EXPECT_NEAR(x[0], 1.0, 1e-12);
   EXPECT_NEAR(x[1], 2.0, 1e-12);
   EXPECT_NEAR(x[2], 3.0, 1e-12);
+
+  // A zero leading diagonal (as an MNA source-branch row has) forces a
+  // row swap, which must carry the RHS along: A = [[0,1],[2,0]],
+  // x = [2,3], b = [3,4].
+  spice::Matrix p(2, 2);
+  p(0, 1) = 1; p(1, 0) = 2;
+  std::vector<double> y{3.0, 4.0};
+  spice::lu_solve_in_place(p, y);
+  EXPECT_EQ(y[0], 2.0);
+  EXPECT_EQ(y[1], 3.0);
 }
 
 TEST(SpiceDcSweep, ReproducesMtjRiCurve) {

@@ -1,9 +1,17 @@
 // Tests of the transient integrators: trapezoidal accuracy order,
-// adaptive step control, breakpoint handling, and history consistency.
+// adaptive step control, breakpoint handling, history consistency, and a
+// bit-exact pin of the read-circuit waveforms.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <string>
 
+#include "sttram/common/error.hpp"
+#include "sttram/device/variation.hpp"
+#include "sttram/obs/metrics.hpp"
+#include "sttram/sim/spice_read.hpp"
 #include "sttram/spice/analysis.hpp"
 #include "sttram/spice/circuit.hpp"
 #include "sttram/spice/elements.hpp"
@@ -149,6 +157,162 @@ TEST(TransientIntegrators, TrapezoidalMatchesBackwardEulerSteadyState) {
   const auto tr = run_transient(tr_f.c, opt);
   EXPECT_NEAR(be.final_voltage(be_f.out), tr.final_voltage(tr_f.out), 5e-5);
   EXPECT_NEAR(tr.final_voltage(tr_f.out), 1.0, 1e-4);
+}
+
+/// FNV-1a fold of a double's bit pattern.
+std::uint64_t fold(std::uint64_t h, double v) {
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &v, sizeof bits);
+  for (int i = 0; i < 8; ++i) {
+    h ^= (bits >> (8 * i)) & 0xffU;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+/// Folds every sample time and every unknown of every sample.
+std::uint64_t fold_waves(std::uint64_t h, const spice::TransientResult& w) {
+  for (std::size_t k = 0; k < w.sample_count(); ++k) {
+    h = fold(h, w.time(k));
+    for (const double x : w.sample(k)) h = fold(h, x);
+  }
+  return h;
+}
+
+// Bit-exact pin of the MNA solver on both read circuits: every waveform
+// sample and the sensed voltages of nondestructive and destructive reads,
+// both stored states, on sampled device corners.  A solver change that
+// reorders any floating-point sum (stamp order, LU operation order) or
+// perturbs a device linearization moves the digest; such a change is a
+// reviewed waveform regeneration, not a silent drift.
+TEST(TransientSolverPin, ReadWaveformsAreBitIdentical) {
+  const MtjVariationModel variation(MtjParams::paper_calibrated(),
+                                    VariationParams{});
+  Xoshiro256 rng(2024);
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (int corner = 0; corner < 3; ++corner) {
+    const MtjParams mtj = variation.sample(rng);
+    for (const MtjState state :
+         {MtjState::kAntiParallel, MtjState::kParallel}) {
+      SpiceReadConfig nd;
+      nd.mtj = mtj;
+      nd.state = state;
+      const SpiceReadResult r = simulate_nondestructive_read(nd);
+      h = fold_waves(h, r.waves);
+      h = fold(h, r.margin.value());
+      h = fold(h, r.v_c1.value());
+      h = fold(h, r.v_bo.value());
+
+      DestructiveSpiceConfig d;
+      d.mtj = mtj;
+      d.state = state;
+      const DestructiveSpiceResult dr = simulate_destructive_read(d);
+      h = fold_waves(h, dr.waves);
+      h = fold(h, dr.margin.value());
+      h = fold(h, dr.v_c1.value());
+      h = fold(h, dr.v_c2.value());
+    }
+  }
+  EXPECT_EQ(h, 0x59fd0991e118a8b0ULL) << std::hex << h;
+}
+
+// The Newton iteration path of one nominal nondestructive read: a solver
+// change that keeps the waveforms but takes a different number of
+// iterations (or factorizations) is caught here.
+TEST(TransientSolverPin, NominalReadIterationCount) {
+  const bool was_enabled = obs::metrics_enabled();
+  obs::set_metrics_enabled(true);
+  auto& registry = obs::Registry::instance();
+  auto& iterations = registry.counter("spice.newton.iterations");
+  auto& factorizations = registry.counter("spice.newton.factorizations");
+  const std::uint64_t iter0 = iterations.value();
+  const std::uint64_t fact0 = factorizations.value();
+  (void)simulate_nondestructive_read(SpiceReadConfig{});
+  const std::uint64_t iters = iterations.value() - iter0;
+  const std::uint64_t facts = factorizations.value() - fact0;
+  obs::set_metrics_enabled(was_enabled);
+  EXPECT_EQ(iters, 1654u);
+  EXPECT_EQ(facts, iters);
+}
+
+// Newton's error reports.  Valid decks converge, so these paths are
+// reached by capping Newton at one iteration: convergence needs a second
+// iterate to compare against, so a nonlinear circuit can never converge.
+// The probe time sits inside the first read, with the word line at VDD
+// and the read current flowing, so the first Newton update is non-zero
+// and names its node.
+class StalledNewton : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    (void)build_nondestructive_read_circuit(circuit, cfg);
+    stalled.max_iterations = 1;
+    was_enabled = obs::metrics_enabled();
+    obs::set_metrics_enabled(true);
+  }
+  void TearDown() override { obs::set_metrics_enabled(was_enabled); }
+
+  /// Runs `f`, which must throw CircuitError, and returns its message.
+  template <typename F>
+  std::string error_of(F&& f) {
+    try {
+      f();
+    } catch (const CircuitError& e) {
+      return e.what();
+    }
+    ADD_FAILURE() << "expected CircuitError";
+    return "";
+  }
+
+  static std::uint64_t nonconverged() {
+    return obs::Registry::instance()
+        .counter("spice.newton.nonconverged")
+        .value();
+  }
+
+  SpiceReadConfig cfg;
+  Circuit circuit;
+  spice::NewtonOptions stalled;
+  double t_probe = cfg.t_read1_on + 1e-9;
+  bool was_enabled = false;
+};
+
+TEST_F(StalledNewton, DcGminRampReportsDecadeIterationsAndNode) {
+  const std::uint64_t before = nonconverged();
+  const std::string msg =
+      error_of([&] { (void)solve_dc(circuit, stalled, t_probe); });
+  EXPECT_NE(msg.find("solve_dc: Newton failed during gmin ramp"),
+            std::string::npos)
+      << msg;
+  EXPECT_NE(msg.find("gmin = 0.001 S, decade 0 of 8"), std::string::npos)
+      << msg;
+  // From the all-zero start, the word line jumps furthest (0 -> VDD).
+  EXPECT_NE(msg.find("after 1 iterations, worst node 'WL' (|dV| = 1.2 V)"),
+            std::string::npos)
+      << msg;
+  // The direct solve and the first ramp decade both fail.
+  EXPECT_EQ(nonconverged() - before, 2u);
+}
+
+TEST_F(StalledNewton, TransientReportsTimeStepAndNode) {
+  // Start where the word line and the read current begin to ramp, so
+  // the first step moves the circuit away from its warm start.
+  const spice::Solution start = solve_dc(circuit, {}, cfg.t_read1_on);
+  TransientOptions opt;
+  opt.t_start = cfg.t_read1_on;
+  opt.t_stop = cfg.t_read1_off;
+  opt.dt = cfg.dt;
+  opt.newton = stalled;
+  const std::uint64_t before = nonconverged();
+  const std::string msg =
+      error_of([&] { (void)run_transient(circuit, opt, &start); });
+  // The first step lands at t_read1_on + dt = 1.025 ns, a quarter of the
+  // way up the 200 ps word-line ramp to VDD.
+  EXPECT_NE(msg.find("run_transient: Newton failed at t = 1.025e-09 s "
+                     "(dt = 2.5e-11 s, after 1 iterations, worst node 'WL' "
+                     "(|dV| = 0.15 V))"),
+            std::string::npos)
+      << msg;
+  EXPECT_EQ(nonconverged() - before, 1u);
 }
 
 }  // namespace
