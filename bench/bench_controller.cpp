@@ -6,7 +6,6 @@
 #include <cstdio>
 
 #include "bench_util.hpp"
-#include "snapshot.hpp"
 #include "sttram/common/format.hpp"
 #include "sttram/engine/controller/controller.hpp"
 #include "sttram/engine/thread_pool.hpp"
@@ -40,7 +39,6 @@ int main(int argc, char** argv) {
   argc = bench::apply_bench_dir_flag(argc, argv);
   (void)argc;
   (void)argv;
-  obs::BenchSnapshot snap = bench::make_snapshot("controller", /*threads=*/8);
   bench::heading("Controller",
                  "chip-scale channels x ranks x banks, FR-FCFS scheduling");
 
@@ -59,11 +57,9 @@ int main(int argc, char** argv) {
   std::printf("4 ch x 2 ranks x 8 banks, rho = 0.7, locality 0.6, "
               "%zu requests\n",
               cfg.requests);
-  ctrl::ControllerReport serial;
-  const double serial_s = wall_run(cfg, nullptr, serial);
+  const ctrl::ControllerReport serial = ctrl::run_controller_traffic(cfg);
   TextTable sweep({"threads", "wall [s]", "Mreq/s", "identical"});
   bool all_identical = true;
-  double best_rate = static_cast<double>(cfg.requests) / serial_s;
   double threads8_rate = 0.0;
   for (const std::size_t threads : {1u, 2u, 8u}) {
     engine::ThreadPool pool(threads);
@@ -78,7 +74,6 @@ int main(int argc, char** argv) {
     }
     const double rate = static_cast<double>(cfg.requests) / wall_s;
     all_identical = all_identical && same;
-    if (rate > best_rate) best_rate = rate;
     if (threads == 8u) threads8_rate = rate;
     char ws[16], mr[16];
     std::snprintf(ws, sizeof(ws), "%.3f", wall_s);
@@ -144,22 +139,5 @@ int main(int argc, char** argv) {
                per_scheme[1].energy_per_bit_pj >
                    4.0 * per_scheme[2].energy_per_bit_pj);
 
-  snap.add_metric("simulated_requests_per_second", threads8_rate, "req/s",
-                  /*higher_is_better=*/true);
-  snap.add_metric("serial_requests_per_second",
-                  static_cast<double>(cfg.requests) / serial_s, "req/s",
-                  /*higher_is_better=*/true);
-  snap.add_metric("row_hit_rate", serial.row_hit_rate, "fraction",
-                  /*higher_is_better=*/true);
-  snap.add_metric("nondestructive_chip_bandwidth",
-                  per_scheme[2].total_bandwidth_mbps, "Mbit/s",
-                  /*higher_is_better=*/true);
-  snap.add_metric("nondestructive_chip_p99_latency",
-                  per_scheme[2].p99_latency.value(), "s",
-                  /*higher_is_better=*/false);
-  // Simulated-time distribution: deterministic for the config, so any
-  // drift is a behavior change, not noise.
-  snap.add_histogram("chip_latency", serial.latency_hist, "s");
-  bench::write_snapshot(snap);
   return bench::exit_status();
 }

@@ -14,20 +14,14 @@
 // gated against the scalar oracle first) and claims >= 2x for the widest
 // SIMD width over the scalar ISA — the W = 1 instantiation of the same
 // kernel template — on AVX2-class hardware.
-//
-// `--no-batch` makes the scalar path the snapshot's subject (same metric
-// names), so a committed scalar baseline pairs directly with a batched
-// candidate in tools/bench_compare.
 #include <algorithm>
 #include <array>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <limits>
 #include <vector>
 
 #include "bench_util.hpp"
-#include "snapshot.hpp"
 #include "sttram/cell/array.hpp"
 #include "sttram/common/simd.hpp"
 #include "sttram/device/op_cache.hpp"
@@ -72,15 +66,12 @@ bool margins_equal(const std::array<SenseMargins, 4>& a,
 
 int main(int argc, char** argv) {
   argc = bench::apply_bench_dir_flag(argc, argv);
-  bool batch = true;
-  for (int k = 1; k < argc; ++k) {
-    if (std::strcmp(argv[k], "--no-batch") == 0) batch = false;
-  }
-  obs::BenchSnapshot snap = bench::make_snapshot("mc");
-  bench::heading("MC kernels",
-                 batch ? "batched SoA margin kernels (16-kb Fig. 11)"
-                       : "scalar margin path (16-kb Fig. 11, --no-batch)");
-  const auto wall0 = std::chrono::steady_clock::now();
+  (void)argc;
+  (void)argv;
+  bench::heading("MC kernels", "batched SoA margin kernels (16-kb Fig. 11)");
+  // The op-cache hit rate below reads the registry, which the metrics
+  // sidecar only arms when STTRAM_BENCH_METRICS is not 0.
+  obs::set_metrics_enabled(true);
 
   // --- the Fig. 11 population (exactly what sim/yield samples) --------
   YieldConfig cfg;  // 128 x 128 = 16 kb
@@ -257,7 +248,6 @@ int main(int argc, char** argv) {
     return ok;
   };
   bool draws_identical = true;
-  double sample_active_s = 0.0, fill_active_s = 0.0;
   std::printf("samplers (variation: %zu cells, gaussian fill: %zu trials x "
               "%zu dims):\n",
               cells, fill_trials, shift.size());
@@ -269,10 +259,6 @@ int main(int argc, char** argv) {
     draws_identical = draws_identical && isa_ok;
     const double sample_s = best_of(10, [&] { sample_all(false); });
     const double fill_s = best_of(10, [&] { fill_all(false); });
-    if (isa == active_isa) {
-      sample_active_s = sample_s;
-      fill_active_s = fill_s;
-    }
     std::printf("  %-7s variation sample %7.2f ns/cell   gaussian fill "
                 "%7.2f ns/trial%s%s\n",
                 simd_isa_name(isa), 1e9 * sample_s / static_cast<double>(cells),
@@ -295,11 +281,9 @@ int main(int argc, char** argv) {
   });
   (void)sink;
   const double scalar_rate = static_cast<double>(cells) / scalar_s;
-  const double batched_rate = static_cast<double>(cells) / batched_s;
   const double speedup = scalar_s / batched_s;
   const double simd_speedup =
       batched_s > 0.0 ? scalar_isa_s / batched_s : 1.0;
-  const double subject_rate = batch ? batched_rate : scalar_rate;
   std::printf("  oracle  %8.2f ns/cell  (%.3g trials/sec)  "
               "[per-cell scheme objects]\n",
               1e9 * scalar_s / static_cast<double>(cells), scalar_rate);
@@ -309,12 +293,11 @@ int main(int argc, char** argv) {
   // --- end-to-end yield + tail ---------------------------------------
   YieldConfig e2e = cfg;
   e2e.max_scatter_points = 1;
-  e2e.use_batch = batch;
   const auto y0 = std::chrono::steady_clock::now();
   const YieldResult yr = run_yield_experiment(e2e, nullptr);
   const double yield_s = seconds_since(y0);
   YieldConfig other = e2e;
-  other.use_batch = !batch;
+  other.use_batch = false;
   const YieldResult yr_other = run_yield_experiment(other, nullptr);
   const bool e2e_identical =
       yr.nondestructive.failures == yr_other.nondestructive.failures &&
@@ -323,19 +306,17 @@ int main(int argc, char** argv) {
           yr_other.nondestructive.sm0_stats.mean() &&
       yr.shared_reference_window.value() ==
           yr_other.shared_reference_window.value();
-  std::printf("end-to-end yield (%s): %.3f s (%.3g cells/sec)\n",
-              batch ? "batched" : "scalar", yield_s,
-              static_cast<double>(cells) / yield_s);
+  std::printf("end-to-end yield (batched): %.3f s (%.3g cells/sec)\n",
+              yield_s, static_cast<double>(cells) / yield_s);
 
   TailConfig tail;
-  tail.use_batch = batch;
   const std::size_t tail_trials = 20000;
   const auto t0 = std::chrono::steady_clock::now();
   const TailEstimate te = estimate_margin_tail(tail, 1, tail_trials);
   const double tail_s = seconds_since(t0);
-  std::printf("tail sampling (%s): %zu trials in %.3f s (%.3g trials/sec), "
-              "P(fail)/bit = %.3e\n\n",
-              batch ? "batched" : "scalar", tail_trials, tail_s,
+  std::printf("tail sampling (batched): %zu trials in %.3f s (%.3g "
+              "trials/sec), P(fail)/bit = %.3e\n\n",
+              tail_trials, tail_s,
               static_cast<double>(tail_trials) / tail_s,
               te.estimate.probability);
 
@@ -347,22 +328,11 @@ int main(int argc, char** argv) {
   }
   std::vector<double> v_out(currents.size());
   const double simmons_s = best_of(5, [&] {
-    if (batch) {
-      simmons.bias_voltage_batch(MtjState::kAntiParallel, currents.data(),
-                                 currents.size(), v_out.data());
-    } else {
-      for (std::size_t k = 0; k < currents.size(); ++k) {
-        v_out[k] = simmons
-                       .bias_voltage(MtjState::kAntiParallel,
-                                     Ampere(currents[k]))
-                       .value();
-      }
-    }
+    simmons.bias_voltage_batch(MtjState::kAntiParallel, currents.data(),
+                               currents.size(), v_out.data());
   });
-  const double simmons_rate =
-      static_cast<double>(currents.size()) / simmons_s;
-  std::printf("Simmons Newton (%s): %.3g solves/sec\n\n",
-              batch ? "batched" : "scalar", simmons_rate);
+  std::printf("Simmons Newton (batched): %.3g solves/sec\n\n",
+              static_cast<double>(currents.size()) / simmons_s);
 
   // --- claims ---------------------------------------------------------
   const bool avx2_class = simd_isa_supported(SimdIsa::kAvx2);
@@ -376,17 +346,15 @@ int main(int argc, char** argv) {
   bench::claim("lane draws bit-identical to per-cell fork streams "
                "(every supported ISA)",
                draws_identical);
-  if (batch) {
-    bench::claim("margin-solve kernel >= 10x the scalar path", speedup >= 10.0);
-    if (avx2_class) {
-      simd_ok = simd_speedup >= 2.0;
-      bench::claim("SIMD margin kernel >= 2x the scalar-ISA batch loop "
-                   "(AVX2-class host)",
-                   simd_ok);
-    }
+  bench::claim("margin-solve kernel >= 10x the scalar path", speedup >= 10.0);
+  if (avx2_class) {
+    simd_ok = simd_speedup >= 2.0;
+    bench::claim("SIMD margin kernel >= 2x the scalar-ISA batch loop "
+                 "(AVX2-class host)",
+                 simd_ok);
   }
 
-  // --- perf snapshot ---------------------------------------------------
+  // --- operating-point cache ------------------------------------------
   const auto& registry = obs::Registry::instance();
   std::uint64_t op_hits = 0, op_misses = 0;
   for (const auto& c : registry.counters()) {
@@ -402,36 +370,6 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(op_hits),
               static_cast<unsigned long long>(op_misses), 100.0 * hit_rate);
 
-  snap.add_metric("wall_seconds", seconds_since(wall0), "s",
-                  /*higher_is_better=*/false);
-  snap.add_metric("margin_trials_per_second", subject_rate, "trial/s",
-                  /*higher_is_better=*/true);
-  snap.add_metric("margin_kernel_speedup_vs_scalar",
-                  batch ? speedup : 1.0, "x",
-                  /*higher_is_better=*/true);
-  snap.add_metric("simd_kernel_speedup_vs_scalar_isa",
-                  batch ? simd_speedup : 1.0, "x",
-                  /*higher_is_better=*/true);
-  snap.add_metric("yield_cells_per_second",
-                  static_cast<double>(cells) / yield_s, "cell/s",
-                  /*higher_is_better=*/true);
-  snap.add_metric("mc.trials_per_sec",
-                  static_cast<double>(cells) / yield_s, "trial/s",
-                  /*higher_is_better=*/true);
-  snap.add_metric("tail_trials_per_second",
-                  static_cast<double>(tail_trials) / tail_s, "trial/s",
-                  /*higher_is_better=*/true);
-  snap.add_metric("variation_sample_ns_per_cell",
-                  1e9 * sample_active_s / static_cast<double>(cells), "ns",
-                  /*higher_is_better=*/false);
-  snap.add_metric("gaussian_fill_ns_per_trial",
-                  1e9 * fill_active_s / static_cast<double>(fill_trials),
-                  "ns", /*higher_is_better=*/false);
-  snap.add_metric("simmons_newton_solves_per_second", simmons_rate,
-                  "solve/s", /*higher_is_better=*/true);
-  snap.add_metric("opcache_hit_rate", hit_rate, "ratio",
-                  /*higher_is_better=*/true);
-  bench::write_snapshot(snap);
   return bench::exit_status(
       identical && e2e_identical && draws_identical && simd_ok ? 0 : 1);
 }

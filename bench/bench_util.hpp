@@ -1,26 +1,55 @@
 // Shared helpers for the reproduction benches: every bench prints its
 // figure/table and a "paper vs measured" summary block, and drops a
-// telemetry sidecar (BENCH_<id>.metrics.json) into the bench output
-// directory (bench_paths.hpp) so the result trajectories carry
-// solver-health data.
+// telemetry sidecar (BENCH_<id>.metrics.json) into bench_out/ so the
+// result trajectories carry solver-health data.
 #pragma once
 
 #include <cctype>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
+#include <filesystem>
 #include <iostream>
 #include <string>
 
-#include "bench_paths.hpp"
 #include "sttram/obs/metrics.hpp"
 
 namespace sttram::bench {
 
+/// The sidecar directory: STTRAM_BENCH_METRICS_DIR, then the shared
+/// STTRAM_BENCH_DIR (also set by --bench-dir), then bench_out/ under the
+/// working directory.  Created best effort — the sidecar writer already
+/// tolerates an unwritable path.
+inline std::string metrics_dir() {
+  const char* dir = std::getenv("STTRAM_BENCH_METRICS_DIR");
+  if (dir == nullptr || dir[0] == '\0') dir = std::getenv("STTRAM_BENCH_DIR");
+  const std::string out =
+      dir != nullptr && dir[0] != '\0' ? dir : "bench_out";
+  std::error_code ec;
+  std::filesystem::create_directories(out, ec);
+  return out;
+}
+
+/// Peels `--bench-dir <dir>` out of argv and exports it as
+/// STTRAM_BENCH_DIR for the sidecar writer.  Returns the compacted argc;
+/// call first thing in main().
+inline int apply_bench_dir_flag(int argc, char** argv) {
+  int out = 1;
+  for (int k = 1; k < argc; ++k) {
+    if (std::strcmp(argv[k], "--bench-dir") == 0 && k + 1 < argc) {
+      ::setenv("STTRAM_BENCH_DIR", argv[k + 1], 1);
+      ++k;
+      continue;
+    }
+    argv[out++] = argv[k];
+  }
+  return out;
+}
+
 /// Enables telemetry for this bench process and arranges for the metrics
-/// registry to be dumped to BENCH_<id>.metrics.json at exit (the first
-/// heading of the run names the sidecar).  Set STTRAM_BENCH_METRICS=0 to
-/// opt out; STTRAM_BENCH_METRICS_DIR (then STTRAM_BENCH_DIR, default
-/// bench_out/) picks the output directory.
+/// registry to be dumped to BENCH_<id>.metrics.json in metrics_dir() at
+/// exit (the first heading of the run names the sidecar).  Set
+/// STTRAM_BENCH_METRICS=0 to opt out.
 inline void enable_metrics_sidecar(const std::string& id) {
   static bool armed = false;
   if (armed) return;
@@ -34,8 +63,7 @@ inline void enable_metrics_sidecar(const std::string& id) {
     stem += std::isalnum(static_cast<unsigned char>(ch)) != 0 ? ch : '_';
   }
   static std::string path;
-  path = output_dir("STTRAM_BENCH_METRICS_DIR") + "/BENCH_" + stem +
-         ".metrics.json";
+  path = metrics_dir() + "/BENCH_" + stem + ".metrics.json";
   sttram::obs::set_metrics_enabled(true);
   std::atexit(+[] {
     try {

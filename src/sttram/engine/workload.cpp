@@ -1,7 +1,10 @@
 #include "sttram/engine/workload.hpp"
 
 #include <algorithm>
+#include <cctype>
+#include <charconv>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <istream>
 #include <ostream>
@@ -30,14 +33,23 @@ bool parse_op(const std::string& field, Op& op) {
   return false;
 }
 
+/// Strict decimal number: the whole field must parse and be finite, so
+/// "inf", "nan", hex floats and trailing garbage are all rejected.
 bool parse_double(const std::string& field, double& value) {
-  std::size_t consumed = 0;
-  try {
-    value = std::stod(field, &consumed);
-  } catch (const std::exception&) {
-    return false;
-  }
-  return consumed == field.size();
+  const char* end = field.data() + field.size();
+  const auto [ptr, ec] = std::from_chars(field.data(), end, value);
+  return ec == std::errc() && ptr == end && std::isfinite(value);
+}
+
+/// True when `field` is a header label: it starts with a letter and does
+/// not begin with a number, so "arrival_s" is one but "inf", "0x1p-30"
+/// and "+1e-9" are malformed numbers.
+bool is_label(const std::string& field) {
+  double ignored = 0.0;
+  return !field.empty() &&
+         std::isalpha(static_cast<unsigned char>(field[0])) != 0 &&
+         std::from_chars(field.data(), field.data() + field.size(), ignored)
+                 .ec == std::errc::invalid_argument;
 }
 
 }  // namespace
@@ -69,20 +81,26 @@ std::vector<Request> load_trace_csv(std::istream& in) {
   CsvReader reader(in);
   std::vector<Request> out;
   std::vector<std::string> fields;
+  // Errors are thrown, not require()d: a require() message would be
+  // built on every row.
   while (reader.read_row(fields)) {
-    require(fields.size() >= 3,
-            "load_trace_csv: expected arrival_s,op,bank — got " +
-                std::to_string(fields.size()) + " field(s) in row " +
-                std::to_string(reader.rows_read()));
+    if (fields.size() < 3) {
+      throw InvalidArgument(
+          "load_trace_csv: expected arrival_s,op,bank — got " +
+          std::to_string(fields.size()) + " field(s) in row " +
+          std::to_string(reader.rows_read()));
+    }
     double arrival = 0.0;
     if (!parse_double(fields[0], arrival)) {
-      // A non-numeric first column in the first row is the header.
-      if (out.empty() && reader.rows_read() == 1) continue;
+      // A first row whose first column is a label is the header.
+      if (reader.rows_read() == 1 && is_label(fields[0])) continue;
       throw InvalidArgument("load_trace_csv: bad arrival '" + fields[0] +
                             "' in row " + std::to_string(reader.rows_read()));
     }
-    require(arrival >= 0.0, "load_trace_csv: arrival must be >= 0 in row " +
-                                std::to_string(reader.rows_read()));
+    if (arrival < 0.0) {
+      throw InvalidArgument("load_trace_csv: arrival must be >= 0 in row " +
+                            std::to_string(reader.rows_read()));
+    }
     Request r;
     r.arrival = Second(arrival);
     if (!parse_op(fields[1], r.op)) {
@@ -92,7 +110,7 @@ std::vector<Request> load_trace_csv(std::istream& in) {
     }
     double bank = 0.0;
     if (!parse_double(fields[2], bank) || bank < 0.0 ||
-        bank != std::floor(bank)) {
+        bank > static_cast<double>(UINT32_MAX) || bank != std::floor(bank)) {
       throw InvalidArgument("load_trace_csv: bad bank '" + fields[2] +
                             "' in row " + std::to_string(reader.rows_read()));
     }

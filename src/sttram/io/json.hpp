@@ -1,6 +1,6 @@
 // Minimal JSON value builder + emitter + parser, for exporting
 // experiment results to downstream tooling (plotting scripts,
-// dashboards) and for reading them back (bench snapshot comparison).
+// dashboards) and for reading them back (campaign golden verify).
 #pragma once
 
 #include <cstdint>

@@ -41,6 +41,15 @@ struct NewtonWorkspace {
   std::vector<double> b;       ///< RHS, then x_new once solved
 };
 
+/// Refuses option values under which Newton cannot run: no iteration at
+/// all, or a negative gmin-ramp length.  Checked once per analysis.
+void require_valid(const NewtonOptions& options) {
+  require(options.max_iterations >= 1,
+          "NewtonOptions::max_iterations must be >= 1");
+  require(options.gmin_ramp_decades >= 0,
+          "NewtonOptions::gmin_ramp_decades must be >= 0");
+}
+
 /// Outcome of one Newton solve, kept for solver telemetry and for
 /// attaching convergence context to CircuitError messages.
 struct NewtonReport {
@@ -176,6 +185,7 @@ Solution dc_operating_point(NewtonWorkspace& ws, const Circuit& circuit,
 
 Solution solve_dc(Circuit& circuit, const NewtonOptions& options,
                   double time) {
+  require_valid(options);
   if (!circuit.finalized()) circuit.finalize();
   NewtonWorkspace ws(circuit);
   return dc_operating_point(ws, circuit, options, time);
@@ -293,6 +303,7 @@ TransientResult run_transient(Circuit& circuit,
   require(options.dt > 0.0, "run_transient: dt must be > 0");
   require(options.t_stop > options.t_start,
           "run_transient: t_stop must exceed t_start");
+  require_valid(options.newton);
   if (!circuit.finalized()) circuit.finalize();
   STTRAM_OBS_COUNT("spice.transient.runs");
   obs::TraceSpan transient_span("run_transient", "spice");

@@ -24,7 +24,8 @@ struct Solution {
   }
 };
 
-/// Newton-Raphson controls.
+/// Newton-Raphson controls.  solve_dc and run_transient throw
+/// InvalidArgument on max_iterations < 1 or gmin_ramp_decades < 0.
 struct NewtonOptions {
   int max_iterations = 200;
   double v_abstol = 1e-9;   ///< absolute voltage tolerance [V]

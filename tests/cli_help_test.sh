@@ -10,7 +10,7 @@
 #    is a documentation bug.
 # 3. Usage errors exit 2: unknown commands, unknown campaign verbs,
 #    unknown campaign flags and malformed numeric values all refuse with
-#    the documented status.
+#    the documented status.  A malformed trace file exits 1.
 set -eu
 
 cli="$1"
@@ -104,6 +104,16 @@ expect_exit2 "$cli" yield 0 8
 expect_exit2 "$cli" yield 8 0
 expect_exit2 "$cli" yield 5
 expect_exit2 "$cli" margins 0
+
+# A trace row whose arrival is not a finite number is refused (exit 1),
+# not simulated into a NaN mean wait and an infinite makespan.
+printf 'arrival_s,op,bank\ninf,read,1\n' > "$workdir/inf.csv"
+rc=0
+"$cli" traffic --trace-file "$workdir/inf.csv" >/dev/null 2>&1 || rc=$?
+if [ "$rc" -ne 1 ]; then
+  echo "FAIL: traffic --trace-file with an 'inf' arrival exited $rc, want 1" >&2
+  status=1
+fi
 
 count="$(echo "$flags" | wc -l)"
 [ "$status" -eq 0 ] && echo "OK: help texts identical, $count flags documented, usage errors exit 2"

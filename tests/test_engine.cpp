@@ -5,8 +5,10 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstdint>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "sttram/common/error.hpp"
@@ -618,6 +620,32 @@ TEST(TraceWorkload, LoaderRejectsMalformedRows) {
     std::stringstream csv("1e-9,read,0\nxyz,read,0\n");
     EXPECT_THROW(engine::load_trace_csv(csv), InvalidArgument);
   }
+  // Numbers parse strictly: whole field, decimal, finite; a bank must
+  // also fit the 32-bit bank index.  A malformed number is an error in
+  // the first row too: only a label there is taken as the header.
+  const struct {
+    const char* name;
+    const char* row;
+  } kBadNumbers[] = {
+      {"inf arrival", "inf,read,1"},
+      {"nan arrival", "nan,read,1"},
+      {"hex arrival", "0x1p-30,read,1"},
+      {"signed arrival", "+1e-9,read,1"},
+      {"inf bank", "1e-9,read,inf"},
+      {"1e20 bank", "1e-9,read,1e20"},
+      {"bank past UINT32_MAX", "1e-9,read,4294967297"},
+  };
+  for (const auto& bad : kBadNumbers) {
+    SCOPED_TRACE(bad.name);
+    std::stringstream after_header(std::string("arrival_s,op,bank\n") +
+                                   bad.row + "\n");
+    EXPECT_THROW(engine::load_trace_csv(after_header), InvalidArgument);
+    std::stringstream first_row(std::string(bad.row) + "\n");
+    EXPECT_THROW(engine::load_trace_csv(first_row), InvalidArgument);
+  }
+  // The largest bank index still loads.
+  std::stringstream max_bank("1e-9,read,4294967295\n");
+  EXPECT_EQ(engine::load_trace_csv(max_bank)[0].bank, UINT32_MAX);
 }
 
 TEST(TraceWorkload, GeneratorIsDeterministicAndSorted) {

@@ -1,6 +1,6 @@
 // Tests of the observability layer: registry semantics, histogram
 // correctness vs a sorted-vector oracle, phase profiling, JSON/CSV
-// export, trace-event output, bench snapshot schema round-trip, and —
+// export, trace-event output, and —
 // critically — that instrumentation never changes numerical results
 // (same seed => identical samples).
 #include <gtest/gtest.h>
@@ -543,57 +543,6 @@ TEST_F(ObsTest, TrafficRunIsInvariantUnderProfiling) {
     if (r.name == "traffic.simulate") saw_simulate = true;
   }
   EXPECT_TRUE(saw_simulate);
-}
-
-TEST_F(ObsTest, BenchSnapshotJsonRoundTrip) {
-  obs::set_profiling_enabled(true);
-  {
-    STTRAM_PROFILE_SCOPE("test.snapshot_phase");
-  }
-  obs::set_profiling_enabled(false);
-
-  obs::BenchSnapshot snap;
-  snap.bench = "unit";
-  snap.git_sha = "abc1234";
-  snap.build_type = "Release";
-  snap.compiler = "GNU 13";
-  snap.threads = 8;
-  snap.add_metric("throughput", 1.25e6, "req/s", true);
-  snap.add_metric("wall_seconds", 0.75, "s", false);
-  obs::Histogram hist;
-  Xoshiro256 rng(3);
-  for (int k = 0; k < 1000; ++k) {
-    hist.record(1e-8 * (1.0 + rng.next_double()));
-  }
-  snap.add_histogram("latency_seconds", hist, "s");
-  snap.capture_profile();
-  ASSERT_FALSE(snap.profile.empty());
-
-  const std::string text = snap.to_json().dump(2);
-  const obs::BenchSnapshot back =
-      obs::BenchSnapshot::from_json(Json::parse(text));
-  EXPECT_EQ(back.bench, snap.bench);
-  EXPECT_EQ(back.git_sha, snap.git_sha);
-  EXPECT_EQ(back.build_type, snap.build_type);
-  EXPECT_EQ(back.compiler, snap.compiler);
-  EXPECT_EQ(back.threads, snap.threads);
-  ASSERT_EQ(back.metrics.size(), 2u);
-  EXPECT_EQ(back.metrics[0].name, "throughput");
-  EXPECT_DOUBLE_EQ(back.metrics[0].value, 1.25e6);
-  EXPECT_TRUE(back.metrics[0].higher_is_better);
-  EXPECT_FALSE(back.metrics[1].higher_is_better);
-  ASSERT_EQ(back.histograms.size(), 1u);
-  EXPECT_EQ(back.histograms[0].summary.count, 1000u);
-  EXPECT_DOUBLE_EQ(back.histograms[0].summary.p99,
-                   hist.summary().p99);
-  ASSERT_EQ(back.profile.size(), snap.profile.size());
-  EXPECT_EQ(back.profile[0].name, "test.snapshot_phase");
-  EXPECT_EQ(back.profile[0].calls, 1u);
-
-  // A future schema version is refused, not misread.
-  Json stale = Json::parse(text);
-  stale.set("schema_version", Json::integer(99));
-  EXPECT_THROW(obs::BenchSnapshot::from_json(stale), Error);
 }
 
 TEST_F(ObsTest, MetricsJsonExportIncludesHistogramsAndProfile) {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "sttram/common/error.hpp"
@@ -98,6 +99,43 @@ TEST(SpiceDc, SeriesResistorsThevenin) {
   c.add<Resistor>("R2", b, Circuit::ground(), 2500.0);
   const Solution s = solve_dc(c);
   EXPECT_NEAR(s.voltage(b), 1.2 * 2500.0 / 3417.0, 1e-9);
+}
+
+/// Runs solve_dc and run_transient on a linear divider under `newton`;
+/// both must refuse with an InvalidArgument naming `field`.
+void expect_newton_options_rejected(const spice::NewtonOptions& newton,
+                                    const std::string& field) {
+  Circuit c;
+  const NodeId top = c.node("top");
+  c.add<VoltageSource>("V1", top, Circuit::ground(), 1.0);
+  c.add<Resistor>("R1", top, Circuit::ground(), 1000.0);
+  spice::TransientOptions transient;
+  transient.t_stop = 1e-9;
+  transient.dt = 1e-10;
+  transient.newton = newton;
+  const auto check = [&](auto&& run) {
+    try {
+      run();
+      ADD_FAILURE() << "expected InvalidArgument naming " << field;
+    } catch (const InvalidArgument& e) {
+      EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+          << e.what();
+    }
+  };
+  check([&] { (void)solve_dc(c, newton); });
+  check([&] { (void)run_transient(c, transient); });
+}
+
+TEST(SpiceNewtonOptions, RejectsNoIterations) {
+  spice::NewtonOptions o;
+  o.max_iterations = 0;
+  expect_newton_options_rejected(o, "NewtonOptions::max_iterations");
+}
+
+TEST(SpiceNewtonOptions, RejectsNegativeGminRampDecades) {
+  spice::NewtonOptions o;
+  o.gmin_ramp_decades = -1;
+  expect_newton_options_rejected(o, "NewtonOptions::gmin_ramp_decades");
 }
 
 TEST(SpiceTransient, RcStepResponse) {
