@@ -114,7 +114,7 @@ int main(int argc, char** argv) {
   pol.utilization = 0.95;
   pol.coalescing = false;
   const ctrl::ControllerReport frfcfs = ctrl::run_controller_traffic(pol);
-  pol.scheduler = ctrl::SchedulerPolicy::kFcfs;
+  pol.scheduler = engine::SchedulingPolicy::kFcfs;
   const ctrl::ControllerReport fcfs = ctrl::run_controller_traffic(pol);
   std::printf("scheduling (locality 0.8): row-hit rate %s (fcfs) -> %s "
               "(frfcfs), mean latency %s -> %s\n\n",

@@ -697,16 +697,9 @@ int cmd_traffic(int argc, char** argv) {
     }
     std::unique_ptr<fault::TrafficFaultModel> fault_model;
     if (fault_ber >= 0.0) {
-      fault::TrafficFaultConfig fc;
-      fc.raw_ber = fault_ber;
-      fc.ecc = ecc;
-      fc.max_attempts = static_cast<std::uint32_t>(retry);
-      const engine::BankTiming timing =
-          engine::scheme_bank_timing(ctl.scheme, ctl.cost);
-      fc.retry_latency = timing.read_service;
-      fc.retry_energy = timing.read_energy;
-      fc.seed = ctl.seed ^ 0x5717fa7ee1dULL;
-      fault_model = std::make_unique<fault::TrafficFaultModel>(fc);
+      fault_model = fault::make_traffic_fault_model(
+          ctl.scheme, ctl.cost, fault_ber, ecc,
+          static_cast<std::uint32_t>(retry), ctl.seed);
       ctl.faults = fault_model.get();
     }
 
@@ -810,17 +803,9 @@ int cmd_traffic(int argc, char** argv) {
   }
   std::unique_ptr<fault::TrafficFaultModel> fault_model;
   if (fault_ber >= 0.0) {
-    fault::TrafficFaultConfig fc;
-    fc.raw_ber = fault_ber;
-    fc.ecc = ecc;
-    fc.max_attempts = static_cast<std::uint32_t>(retry);
-    // A retry re-runs the whole read: charge the scheme's service time.
-    const engine::BankTiming timing =
-        engine::scheme_bank_timing(cfg.scheme, cfg.cost);
-    fc.retry_latency = timing.read_service;
-    fc.retry_energy = timing.read_energy;
-    fc.seed = cfg.seed ^ 0x5717fa7ee1dULL;
-    fault_model = std::make_unique<fault::TrafficFaultModel>(fc);
+    fault_model = fault::make_traffic_fault_model(
+        cfg.scheme, cfg.cost, fault_ber, ecc,
+        static_cast<std::uint32_t>(retry), cfg.seed);
     cfg.faults = fault_model.get();
   }
 

@@ -4,6 +4,7 @@
 #include <chrono>
 
 #include "sttram/common/error.hpp"
+#include "sttram/engine/controller/channel.hpp"
 #include "sttram/engine/workload.hpp"
 #include "sttram/obs/metrics.hpp"
 #include "sttram/obs/profile.hpp"
@@ -13,13 +14,6 @@
 #include "sttram/stats/summary.hpp"
 
 namespace sttram::engine {
-namespace {
-
-double sample_exponential(Xoshiro256& rng, double mean) {
-  return -mean * std::log1p(-rng.next_double());
-}
-
-}  // namespace
 
 const char* to_string(SensingScheme scheme) {
   switch (scheme) {
@@ -65,167 +59,66 @@ BankTiming scheme_bank_timing(SensingScheme scheme,
   return t;
 }
 
-BankController::BankController(std::size_t banks, SchedulingPolicy policy,
-                               const BankTiming& timing,
-                               ReadFaultModel* faults)
-    : timing_(timing), faults_(faults) {
-  require(banks > 0, "BankController: need at least one bank");
-  require(timing.read_service.value() > 0.0 &&
-              timing.write_service.value() > 0.0,
-          "BankController: service times must be > 0");
-  banks_.reserve(banks);
-  for (std::size_t b = 0; b < banks; ++b) banks_.emplace_back(policy);
-}
-
-void BankController::start_service(Bank& bank, const Request& request,
-                                   Second at) {
-  Second service = request.op == Op::kRead ? timing_.read_service
-                                           : timing_.write_service;
-  if (faults_ != nullptr && request.op == Op::kRead) {
-    // One hook call per read (requests enter service exactly once); the
-    // outcome depends only on the request id, so stats and schedules are
-    // reproducible regardless of bank interleaving.
-    const ReadFaultOutcome outcome = faults_->read_outcome(request.id);
-    service += outcome.extra_latency;
-    if (outcome.raw_bit_errors > 0) ++fault_stats_.faulty_reads;
-    fault_stats_.retries += outcome.attempts - 1;
-    fault_stats_.raw_bit_errors += outcome.raw_bit_errors;
-    if (outcome.corrected) ++fault_stats_.corrected_words;
-    if (outcome.uncorrectable) ++fault_stats_.uncorrectable_words;
-    if (outcome.silent) ++fault_stats_.silent_corruptions;
-    fault_stats_.extra_latency += outcome.extra_latency;
-    fault_stats_.extra_energy += outcome.extra_energy;
-  }
-  bank.busy = true;
-  bank.current = request;
-  bank.current_start = max(at, request.arrival);
-  bank.current_finish = bank.current_start + service;
-  bank.busy_time += service;
-  ++in_flight_;
-}
-
-void BankController::submit(const Request& request) {
-  require(request.bank < banks_.size(),
-          "BankController::submit: bank index out of range");
-  Bank& bank = banks_[request.bank];
-  ++pending_;
-  if (!bank.busy) {
-    start_service(bank, request, request.arrival);
-    return;
-  }
-  bank.queue.push(request);
-  peak_depth_ = std::max(peak_depth_, bank.queue.size());
-}
-
-std::size_t BankController::earliest_busy_bank() const {
-  std::size_t best = banks_.size();
-  for (std::size_t b = 0; b < banks_.size(); ++b) {
-    const Bank& bank = banks_[b];
-    if (!bank.busy) continue;
-    if (best == banks_.size() ||
-        bank.current_finish < banks_[best].current_finish ||
-        (bank.current_finish == banks_[best].current_finish &&
-         bank.current.id < banks_[best].current.id)) {
-      best = b;
-    }
-  }
-  require(best < banks_.size(),
-          "BankController: no in-flight request to complete");
-  return best;
-}
-
-Second BankController::next_completion_time() const {
-  return banks_[earliest_busy_bank()].current_finish;
-}
-
-CompletedRequest BankController::step() {
-  Bank& bank = banks_[earliest_busy_bank()];
-  CompletedRequest done;
-  done.request = bank.current;
-  done.start = bank.current_start;
-  done.finish = bank.current_finish;
-  bank.busy = false;
-  bank.served += 1;
-  --in_flight_;
-  --pending_;
-  if (!bank.queue.empty()) {
-    // Every queued request arrived while the bank was busy, so service
-    // starts back-to-back at the completion instant.
-    start_service(bank, bank.queue.pop(), done.finish);
-  }
-  return done;
-}
-
-Second BankController::busy_time(std::size_t bank) const {
-  require(bank < banks_.size(), "BankController::busy_time: bad bank");
-  return banks_[bank].busy_time;
-}
-
-std::size_t BankController::served(std::size_t bank) const {
-  require(bank < banks_.size(), "BankController::served: bad bank");
-  return banks_[bank].served;
-}
-
 namespace {
 
+double sample_exponential(Xoshiro256& rng, double mean) {
+  return -mean * std::log1p(-rng.next_double());
+}
+
+/// The flat configuration of the event core: every access a row hit
+/// after its bank's first (all requests sit on row 0) and ACT/PRE free,
+/// so occupancy() is exactly the scheme's read or write service.
+controller::ChannelConfig flat_channel(const TrafficConfig& config,
+                                       const BankTiming& timing) {
+  controller::ChannelConfig cc;
+  cc.banks = config.banks;
+  cc.timing.t_read = timing.read_service;
+  cc.timing.t_write = timing.write_service;
+  cc.timing.e_read = timing.read_energy;
+  cc.timing.e_write = timing.write_energy;
+  cc.scheduler = config.policy;
+  cc.coalescing = false;
+  cc.faults = config.faults;
+  return cc;
+}
+
+controller::MemRequest flat_request(const Request& r) {
+  controller::MemRequest m;
+  m.id = r.id;
+  m.arrival = r.arrival.value();
+  m.op = r.op;
+  m.bank = r.bank;
+  return m;
+}
+
+/// What the report needs beyond ChannelStats: Welford means and the
+/// per-op latency histograms, in retirement order.
 struct RunAccumulator {
-  obs::Histogram latency_hist;
   obs::Histogram read_latency_hist;
   obs::Histogram write_latency_hist;
   RunningStats latency;
   RunningStats read_latency;
   RunningStats write_latency;
   RunningStats queue_wait;
-  Second makespan{0.0};
-  std::size_t reads = 0;
-  std::size_t writes = 0;
-  std::vector<CompletedRequest> completions;
-  bool keep = false;
 
-  void record(const CompletedRequest& done) {
-    const double l = done.latency().value();
-    latency_hist.record(l);
+  void record(const controller::MemRequest& r, double start, double finish) {
+    const double l = finish - r.arrival;
     latency.add(l);
-    queue_wait.add(done.queue_wait().value());
-    if (done.request.op == Op::kRead) {
-      ++reads;
+    queue_wait.add(start - r.arrival);
+    if (r.op == Op::kRead) {
       read_latency.add(l);
       read_latency_hist.record(l);
     } else {
-      ++writes;
       write_latency.add(l);
       write_latency_hist.record(l);
     }
-    makespan = max(makespan, done.finish);
-    if (keep) completions.push_back(done);
   }
 };
-
-/// Replays a pre-generated, arrival-sorted request stream.
-void simulate_open_loop(const std::vector<Request>& requests,
-                        BankController& controller, RunAccumulator& acc) {
-  std::size_t next = 0;
-  std::size_t completed = 0;
-  while (completed < requests.size()) {
-    // Completions at the same instant run first so a same-time arrival
-    // sees the freed bank — and the order stays independent of how the
-    // stream was produced.
-    if (!controller.idle() &&
-        (next == requests.size() ||
-         controller.next_completion_time() <= requests[next].arrival)) {
-      acc.record(controller.step());
-      ++completed;
-    } else {
-      controller.submit(requests[next]);
-      ++next;
-    }
-  }
-}
 
 /// Fixed client population: every client issues, blocks until its
 /// request completes, thinks (exponential), then issues again.
 void simulate_closed_loop(const TrafficConfig& config,
-                          BankController& controller, RunAccumulator& acc) {
+                          controller::ChannelSim& sim, RunAccumulator& acc) {
   require(config.clients > 0, "run_traffic: closed loop needs clients > 0");
   const Xoshiro256 master(config.seed);
   struct Client {
@@ -242,6 +135,14 @@ void simulate_closed_loop(const TrafficConfig& config,
     clients.push_back(std::move(client));
   }
   std::vector<std::uint32_t> client_of(config.requests, 0);
+  const auto retire = [&](const controller::MemRequest& r, double start,
+                          double finish) {
+    acc.record(r, start, finish);
+    Client& owner = clients[client_of[r.id]];
+    owner.blocked = false;
+    owner.next_issue =
+        finish + sample_exponential(owner.rng, config.think_time.value());
+  };
 
   std::size_t issued = 0;
   std::size_t completed = 0;
@@ -258,30 +159,23 @@ void simulate_closed_loop(const TrafficConfig& config,
       }
     }
     const bool can_issue = ready < clients.size();
-    if (!controller.idle() &&
-        (!can_issue || controller.next_completion_time().value() <=
+    if (!sim.idle() &&
+        (!can_issue || sim.next_completion_time() <=
                            clients[ready].next_issue)) {
-      const CompletedRequest done = controller.step();
-      acc.record(done);
-      ++completed;
-      Client& owner = clients[client_of[done.request.id]];
-      owner.blocked = false;
-      owner.next_issue =
-          done.finish.value() +
-          sample_exponential(owner.rng, config.think_time.value());
+      completed += sim.step(retire);
     } else {
       require(can_issue, "run_traffic: closed loop stalled");
       Client& client = clients[ready];
-      Request r;
+      controller::MemRequest r;
       r.id = issued;
-      r.arrival = Second(client.next_issue);
+      r.arrival = client.next_issue;
       r.op = client.rng.next_double() < config.read_fraction ? Op::kRead
                                                              : Op::kWrite;
       r.bank =
           static_cast<std::uint32_t>(client.rng.next_u64() % config.banks);
       client_of[issued] = static_cast<std::uint32_t>(ready);
       client.blocked = true;
-      controller.submit(r);
+      sim.submit(r);
       ++issued;
     }
   }
@@ -334,15 +228,8 @@ TrafficReport run_traffic(const TrafficConfig& config) {
     }
   }
 
-  BankController controller(config.banks, config.policy, timing,
-                            config.faults);
+  controller::ChannelSim sim(flat_channel(config, timing));
   RunAccumulator acc;
-  acc.keep = config.keep_completions;
-  if (acc.keep) {
-    acc.completions.reserve(config.workload == WorkloadKind::kTrace
-                                ? requests.size()
-                                : config.requests);
-  }
 
   const bool metered = obs::metrics_enabled();
   const auto t_begin = std::chrono::steady_clock::now();
@@ -350,9 +237,14 @@ TrafficReport run_traffic(const TrafficConfig& config) {
     obs::TraceSpan phase("traffic.simulate", "engine");
     STTRAM_PROFILE_SCOPE("traffic.simulate");
     if (config.workload == WorkloadKind::kClosedLoop) {
-      simulate_closed_loop(config, controller, acc);
+      simulate_closed_loop(config, sim, acc);
     } else {
-      simulate_open_loop(requests, controller, acc);
+      controller::run_open_loop(
+          sim, requests.size(),
+          [&](std::size_t i) { return flat_request(requests[i]); },
+          [&](const controller::MemRequest& r, double start, double finish) {
+            acc.record(r, start, finish);
+          });
     }
   }
   if (metered) {
@@ -364,22 +256,23 @@ TrafficReport run_traffic(const TrafficConfig& config) {
 
   obs::TraceSpan reduce_phase("traffic.reduce", "engine");
   STTRAM_PROFILE_SCOPE("traffic.reduce");
+  const controller::ChannelStats& stats = sim.stats();
   TrafficReport report;
   report.scheme = to_string(config.scheme);
-  report.requests = acc.reads + acc.writes;
-  report.reads = acc.reads;
-  report.writes = acc.writes;
-  report.makespan = acc.makespan;
+  report.requests = stats.requests();
+  report.reads = stats.reads;
+  report.writes = stats.writes;
+  report.makespan = Second(stats.makespan);
   report.mean_latency = Second(acc.latency.mean());
-  report.max_latency = Second(acc.latency.max());
-  report.p50_latency = Second(acc.latency_hist.quantile(0.50));
-  report.p90_latency = Second(acc.latency_hist.quantile(0.90));
-  report.p99_latency = Second(acc.latency_hist.quantile(0.99));
-  report.p999_latency = Second(acc.latency_hist.quantile(0.999));
+  report.max_latency = Second(stats.max_latency);
+  report.p50_latency = Second(stats.latency_hist.quantile(0.50));
+  report.p90_latency = Second(stats.latency_hist.quantile(0.90));
+  report.p99_latency = Second(stats.latency_hist.quantile(0.99));
+  report.p999_latency = Second(stats.latency_hist.quantile(0.999));
   report.mean_read_latency =
-      Second(acc.reads > 0 ? acc.read_latency.mean() : 0.0);
+      Second(stats.reads > 0 ? acc.read_latency.mean() : 0.0);
   report.mean_write_latency =
-      Second(acc.writes > 0 ? acc.write_latency.mean() : 0.0);
+      Second(stats.writes > 0 ? acc.write_latency.mean() : 0.0);
   report.mean_queue_wait = Second(acc.queue_wait.mean());
   const double bits = static_cast<double>(report.requests) *
                       static_cast<double>(config.word_bits);
@@ -391,28 +284,31 @@ TrafficReport run_traffic(const TrafficConfig& config) {
   double utilization_sum = 0.0;
   for (std::size_t b = 0; b < config.banks; ++b) {
     const double u = report.makespan.value() > 0.0
-                         ? controller.busy_time(b) / report.makespan
+                         ? sim.busy_time(b) / stats.makespan
                          : 0.0;
     report.bank_utilization.push_back(u);
     utilization_sum += u;
   }
   report.avg_bank_utilization =
       utilization_sum / static_cast<double>(config.banks);
-  report.peak_queue_depth = controller.peak_queue_depth();
-  report.total_energy = static_cast<double>(acc.reads) * timing.read_energy +
-                        static_cast<double>(acc.writes) * timing.write_energy;
+  report.peak_queue_depth = stats.peak_queue_depth;
+  // Not stats.energy_j, a per-access running sum that rounds
+  // differently: the report's energy is the per-op product sum, with
+  // the fault hook's extra energy added once at the end.
+  report.total_energy =
+      static_cast<double>(stats.reads) * timing.read_energy +
+      static_cast<double>(stats.writes) * timing.write_energy;
   if (config.faults != nullptr) {
     report.faults_enabled = true;
-    report.faults = controller.fault_stats();
+    report.faults = stats.faults;
     report.total_energy += report.faults.extra_energy;
   }
   report.energy_per_bit_pj = report.total_energy.value() * 1e12 / bits;
   report.read_service = timing.read_service;
   report.write_service = timing.write_service;
-  report.latency_hist = std::move(acc.latency_hist);
+  report.latency_hist = stats.latency_hist;
   report.read_latency_hist = std::move(acc.read_latency_hist);
   report.write_latency_hist = std::move(acc.write_latency_hist);
-  report.completions = std::move(acc.completions);
 
   if (metered) {
     obs::Registry& reg = obs::Registry::instance();

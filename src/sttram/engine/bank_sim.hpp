@@ -4,9 +4,13 @@
 // bank for the sensing scheme's calibrated service time (from
 // sim/timing_energy), so the scheme-level latency/energy differences the
 // paper argues for become system-level bandwidth, loaded latency and
-// energy numbers.  The engine is event-driven (arrival and completion
-// events, ties broken by issue order) and fully deterministic for a
-// given configuration — no wall-clock input, explicit seeds only.
+// energy numbers.  The event core is controller::ChannelSim in its flat
+// configuration: every request on row 0, no row-management time or
+// energy, no coalescing — so an access occupies its bank for exactly
+// the scheme's read or write service.  Arrival and completion events,
+// simultaneous completions retiring lowest bank first; fully
+// deterministic for a given configuration — no wall-clock input,
+// explicit seeds only.
 //
 // Cross-validation: a single-bank FCFS run under an open-loop Poisson
 // read stream is exactly the M/D/1 queue of the analytic model in
@@ -50,71 +54,6 @@ struct BankTiming {
 BankTiming scheme_bank_timing(SensingScheme scheme,
                               const CostComparisonConfig& cost);
 
-/// N banks of one scheme driven by an external event loop.  The caller
-/// must interleave submit() and step() in global time order: only
-/// submit a request whose arrival precedes next_completion_time().
-class BankController {
- public:
-  /// `faults`, when non-null, is consulted once per read request; its
-  /// extra latency extends the bank occupancy and its activity is
-  /// aggregated into fault_stats().  Null (the default) is the exact
-  /// fault-free code path.
-  BankController(std::size_t banks, SchedulingPolicy policy,
-                 const BankTiming& timing,
-                 ReadFaultModel* faults = nullptr);
-
-  /// Admits one request; starts service immediately if its bank is idle.
-  void submit(const Request& request);
-
-  /// True when no request is queued or in flight.
-  [[nodiscard]] bool idle() const { return in_flight_ == 0; }
-  /// Earliest outstanding completion (call only when !idle()).
-  [[nodiscard]] Second next_completion_time() const;
-  /// Retires the earliest outstanding completion and starts the bank's
-  /// next queued request, if any.
-  CompletedRequest step();
-
-  [[nodiscard]] std::size_t banks() const { return banks_.size(); }
-  /// Queued + in-flight requests across all banks.
-  [[nodiscard]] std::size_t pending() const { return pending_; }
-  /// Deepest any single bank queue ever got (in-flight excluded).
-  [[nodiscard]] std::size_t peak_queue_depth() const { return peak_depth_; }
-  /// Total service time a bank has accumulated.
-  [[nodiscard]] Second busy_time(std::size_t bank) const;
-  /// Requests a bank has finished.
-  [[nodiscard]] std::size_t served(std::size_t bank) const;
-  /// Accumulated fault/recovery activity (all zeros without a hook).
-  [[nodiscard]] const TrafficFaultStats& fault_stats() const {
-    return fault_stats_;
-  }
-
- private:
-  struct Bank {
-    RequestQueue queue;
-    bool busy = false;
-    Request current{};
-    Second current_start{0.0};
-    Second current_finish{0.0};
-    Second busy_time{0.0};
-    std::size_t served = 0;
-
-    explicit Bank(SchedulingPolicy policy) : queue(policy) {}
-  };
-
-  void start_service(Bank& bank, const Request& request, Second at);
-  /// Index of the bank with the earliest in-flight completion (ties by
-  /// lowest request id, so the order is reproducible).
-  [[nodiscard]] std::size_t earliest_busy_bank() const;
-
-  BankTiming timing_;
-  std::vector<Bank> banks_;
-  ReadFaultModel* faults_ = nullptr;
-  TrafficFaultStats fault_stats_;
-  std::size_t in_flight_ = 0;
-  std::size_t pending_ = 0;
-  std::size_t peak_depth_ = 0;
-};
-
 /// How the request stream is produced.
 enum class WorkloadKind : std::uint8_t {
   kPoisson,     ///< open loop, exponential interarrivals
@@ -141,8 +80,6 @@ struct TrafficConfig {
   Second think_time{50e-9};
   /// Trace replay (workload == kTrace); see load_trace_csv().
   std::vector<Request> trace;
-  /// Retain the per-request completion records in the report.
-  bool keep_completions = false;
   /// Optional fault hook (not owned).  Null keeps the exact fault-free
   /// code path — reports are bit-identical to a run without the field.
   ReadFaultModel* faults = nullptr;
@@ -181,7 +118,6 @@ struct TrafficReport {
   obs::Histogram latency_hist;
   obs::Histogram read_latency_hist;
   obs::Histogram write_latency_hist;
-  std::vector<CompletedRequest> completions;  ///< when keep_completions
   bool faults_enabled = false;  ///< whether a fault hook was attached
   TrafficFaultStats faults;     ///< fault/recovery totals (zeros if off)
 };

@@ -2,6 +2,22 @@
 
 #include <string>
 
+namespace sttram::engine {
+
+const char* to_string(SchedulingPolicy policy) {
+  switch (policy) {
+    case SchedulingPolicy::kFcfs:
+      return "fcfs";
+    case SchedulingPolicy::kReadPriority:
+      return "read-priority";
+    case SchedulingPolicy::kFrFcfs:
+      return "frfcfs";
+  }
+  return "?";
+}
+
+}  // namespace sttram::engine
+
 namespace sttram::engine::controller {
 
 namespace {
@@ -10,23 +26,13 @@ constexpr std::uint64_t kIdleKey =
     0x7ff0000000000000ULL;  // bit pattern of +infinity
 }  // namespace
 
-const char* to_string(SchedulerPolicy policy) {
-  switch (policy) {
-    case SchedulerPolicy::kFcfs:
-      return "fcfs";
-    case SchedulerPolicy::kFrFcfs:
-      return "frfcfs";
-  }
-  return "?";
-}
-
-bool parse_scheduler(const std::string& name, SchedulerPolicy& policy) {
+bool parse_scheduler(const std::string& name, SchedulingPolicy& policy) {
   if (name == "fcfs") {
-    policy = SchedulerPolicy::kFcfs;
+    policy = SchedulingPolicy::kFcfs;
     return true;
   }
   if (name == "frfcfs") {
-    policy = SchedulerPolicy::kFrFcfs;
+    policy = SchedulingPolicy::kFrFcfs;
     return true;
   }
   return false;

@@ -1,20 +1,26 @@
 // One memory channel: ranks × banks with open-row state, an FR-FCFS
 // command scheduler and an MSHR-style coalescing front end.
 //
-// The channel is driven by an external event loop exactly like
-// BankController (submit requests in arrival order, interleaved with
-// step() in global-time order), but accesses are scheduled at command
+// The channel is driven by an external event loop (submit requests in
+// arrival order, interleaved with step() in global-time order; see
+// run_open_loop below), and accesses are scheduled at command
 // granularity: each access pays its row-buffer outcome — hit (RD/WR
 // only), miss (ACT + RD/WR) or conflict (PRE + ACT + RD/WR) — from the
 // scheme's CommandTiming table.  The hot path is pure arithmetic over
 // the collapsed table; no per-command event objects are allocated, so a
 // channel sustains tens of millions of simulated requests per second.
 //
-// Scheduling (SchedulerPolicy::kFrFcfs): when a bank frees, the oldest
+// It is the traffic engine's only event core: the flat bank simulator
+// (bank_sim.hpp) runs it with every request on row 0, zero ACT/PRE time
+// and energy and no coalescing, so each access occupies its bank for
+// exactly the read or write service.
+//
+// Scheduling (SchedulingPolicy::kFrFcfs): when a bank frees, the oldest
 // pending access to the currently open row is served first (a row hit
 // saves ACT/PRE); the oldest entry overall can be bypassed at most
 // `starvation_cap` times before it is forced, which bounds starvation
-// (tested in test_controller.cpp).  kFcfs is strict arrival order.
+// (tested in test_controller.cpp).  kFcfs is strict arrival order;
+// kReadPriority serves the oldest pending read, else the oldest entry.
 //
 // Coalescing: a read arriving for a (bank, row) that already has a
 // *queued* read is merged into it (one data access serves both); the
@@ -43,15 +49,9 @@
 
 namespace sttram::engine::controller {
 
-/// How a freed bank picks its next pending access.
-enum class SchedulerPolicy : std::uint8_t {
-  kFcfs,    ///< strict arrival order
-  kFrFcfs,  ///< row-hit-first with an aging cap (see file header)
-};
-
-[[nodiscard]] const char* to_string(SchedulerPolicy policy);
-/// Parses "fcfs" / "frfcfs"; returns false on anything else.
-bool parse_scheduler(const std::string& name, SchedulerPolicy& policy);
+/// Parses the controller's scheduler names "fcfs" / "frfcfs"; returns
+/// false on anything else.
+bool parse_scheduler(const std::string& name, SchedulingPolicy& policy);
 
 /// One access offered to a channel.  `bank` is the flat bank index
 /// within the channel (rank * banks_per_rank + bank).
@@ -66,7 +66,7 @@ struct MemRequest {
 struct ChannelConfig {
   std::size_t banks = 16;  ///< flat bank count (ranks * banks_per_rank)
   CommandTiming timing{};
-  SchedulerPolicy scheduler = SchedulerPolicy::kFrFcfs;
+  SchedulingPolicy scheduler = SchedulingPolicy::kFrFcfs;
   /// FR-FCFS aging cap: row hits may bypass the oldest pending access
   /// at most this many times before it is forced to the front.
   std::size_t starvation_cap = 8;
@@ -120,11 +120,22 @@ class ChannelSim {
   }
   /// Retires the earliest completion (host access plus any coalesced
   /// reads), accumulates it into stats() and schedules the bank's next
-  /// pending access.  Returns how many requests retired.
-  std::size_t step();
+  /// pending access.  `on_retire(request, start, finish)` sees the host
+  /// access (coalesced reads share its start and finish).  Returns how
+  /// many requests retired.
+  template <typename OnRetire>
+  std::size_t step(OnRetire&& on_retire);
+  std::size_t step() {
+    return step([](const MemRequest&, double, double) {});
+  }
 
   [[nodiscard]] const ChannelStats& stats() const { return stats_; }
   [[nodiscard]] std::size_t banks() const { return banks_.size(); }
+  /// Service time bank `b` has accumulated (seconds).
+  [[nodiscard]] double busy_time(std::size_t b) const {
+    require(b < banks_.size(), "ChannelSim::busy_time: bad bank");
+    return banks_[b].busy_time;
+  }
 
  private:
   struct Entry {
@@ -167,6 +178,7 @@ class ChannelSim {
     Entry current{};
     double current_start = 0.0;
     double current_finish = 0.0;
+    double busy_time = 0.0;
     /// Times the oldest queued entry has been bypassed by a row hit.
     std::size_t bypass_count = 0;
   };
@@ -286,6 +298,7 @@ inline void ChannelSim::start_service(std::size_t b, Entry&& entry,
     const std::uint64_t best = key_[earliest_];
     if (key < best || (key == best && b < earliest_)) earliest_ = b;
   }
+  bank.busy_time += service;
   stats_.busy_time += service;
   ++in_flight_;
 }
@@ -317,7 +330,17 @@ inline void ChannelSim::submit(const MemRequest& request) {
 }
 
 inline ChannelSim::Entry ChannelSim::pop_next(Bank& bank) {
-  if (config_.scheduler == SchedulerPolicy::kFrFcfs &&
+  if (config_.scheduler == SchedulingPolicy::kReadPriority) {
+    // Oldest pending read first; the head when no read waits.
+    std::size_t read = 0;
+    while (read < bank.queue.size() &&
+           bank.queue.at(read).request.op != Op::kRead) {
+      ++read;
+    }
+    return read == 0 || read == bank.queue.size() ? bank.queue.pop_front()
+                                                  : bank.queue.take(read);
+  }
+  if (config_.scheduler == SchedulingPolicy::kFrFcfs &&
       bank.queue.size() > 1 && bank.open_row >= 0) {
     std::size_t hit = bank.queue.size();
     for (std::size_t i = 0; i < bank.queue.size(); ++i) {
@@ -360,7 +383,8 @@ inline void ChannelSim::record(const Entry& entry, double start,
   stats_.makespan = std::max(stats_.makespan, finish);
 }
 
-inline std::size_t ChannelSim::step() {
+template <typename OnRetire>
+inline std::size_t ChannelSim::step(OnRetire&& on_retire) {
   const std::size_t b = earliest_busy_bank();
   Bank& bank = banks_[b];
   const double finish = bank.current_finish;
@@ -370,6 +394,7 @@ inline std::size_t ChannelSim::step() {
   // otherwise the stale entry is harmless (the next start overwrites
   // it too).
   record(bank.current, bank.current_start, finish);
+  on_retire(bank.current.request, bank.current_start, finish);
   const std::size_t retired = 1 + bank.current.coalesced.size();
   bank.busy = false;
   key_[b] = std::bit_cast<std::uint64_t>(
@@ -384,6 +409,30 @@ inline std::size_t ChannelSim::step() {
     start_service(b, pop_next(bank), finish);
   }
   return retired;
+}
+
+/// Drives `sim` through an arrival-ordered stream of `n` requests,
+/// `next(i)` producing the i-th, and hands every retirement to
+/// `on_retire` (see ChannelSim::step).  Completions at the same instant
+/// run before arrivals, so a same-time arrival sees the freed bank and
+/// the order stays independent of how the stream was produced.
+template <typename Source, typename OnRetire>
+void run_open_loop(ChannelSim& sim, std::size_t n, Source&& next,
+                   OnRetire&& on_retire) {
+  std::size_t issued = 0;
+  std::size_t completed = 0;
+  MemRequest pending;
+  if (n > 0) pending = next(0);
+  while (completed < n) {
+    if (!sim.idle() &&
+        (issued == n || sim.next_completion_time() <= pending.arrival)) {
+      completed += sim.step(on_retire);
+    } else {
+      sim.submit(pending);
+      ++issued;
+      if (issued < n) pending = next(issued);
+    }
+  }
 }
 
 }  // namespace sttram::engine::controller

@@ -165,25 +165,12 @@ void run_channel(const ControllerConfig& config, const CommandTiming& timing,
 
   const ChunkRange ids =
       chunk_range(config.requests, config.channels, channel);
-  const std::size_t n = ids.size();
   ChannelWorkload gen(config, channel, banks_in_channel, mean_interarrival);
 
-  std::size_t issued = 0;
-  std::size_t completed = 0;
-  MemRequest next;
-  if (n > 0) next = gen.next(ids.begin);
-  while (completed < n) {
-    // Completions at the same instant run first so a same-time arrival
-    // sees the freed bank (the bank_sim merge-order convention).
-    if (!sim.idle() &&
-        (issued == n || sim.next_completion_time() <= next.arrival)) {
-      completed += sim.step();
-    } else {
-      sim.submit(next);
-      ++issued;
-      if (issued < n) next = gen.next(ids.begin + issued);
-    }
-  }
+  run_open_loop(
+      sim, ids.size(),
+      [&](std::size_t i) { return gen.next(ids.begin + i); },
+      [](const MemRequest&, double, double) {});
   out = sim.stats();
 }
 

@@ -38,7 +38,7 @@ struct ControllerConfig {
   std::size_t ranks = 2;
   std::size_t banks = 8;   ///< banks per rank
   std::size_t rows = 64;   ///< rows per bank (the row-buffer namespace)
-  SchedulerPolicy scheduler = SchedulerPolicy::kFrFcfs;
+  SchedulingPolicy scheduler = SchedulingPolicy::kFrFcfs;
   std::size_t starvation_cap = 8;
   bool coalescing = true;
   std::size_t requests = 1000000;  ///< total across all channels

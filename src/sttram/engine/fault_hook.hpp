@@ -7,8 +7,9 @@
 // above (src/sttram/fault/traffic_faults) — this header is the seam
 // that keeps the dependency pointing upward (engine never links fault).
 //
-// Contract: BankController calls read_outcome() exactly once per read
-// request, keyed by the request id.  Implementations must depend only
+// Contract: the event core (controller::ChannelSim, flat and chip-scale
+// alike) calls read_outcome() exactly once per read bank access, when
+// it starts service, keyed by the request id.  Implementations must depend only
 // on that id (derive per-request RNG streams from it), never on call
 // order, so simulations stay bit-identical across scheduling policies
 // and workload generators.  A null hook is the fault-free fast path and

@@ -18,6 +18,21 @@ TrafficFaultModel::TrafficFaultModel(const TrafficFaultConfig& config)
           "TrafficFaultModel: word_bits must be > 0");
 }
 
+std::unique_ptr<TrafficFaultModel> make_traffic_fault_model(
+    engine::SensingScheme scheme, const CostComparisonConfig& cost,
+    double raw_ber, bool ecc, std::uint32_t max_attempts,
+    std::uint64_t run_seed) {
+  const engine::BankTiming timing = engine::scheme_bank_timing(scheme, cost);
+  TrafficFaultConfig fc;
+  fc.raw_ber = raw_ber;
+  fc.ecc = ecc;
+  fc.max_attempts = max_attempts;
+  fc.retry_latency = timing.read_service;
+  fc.retry_energy = timing.read_energy;
+  fc.seed = run_seed ^ 0x5717fa7ee1dULL;
+  return std::make_unique<TrafficFaultModel>(fc);
+}
+
 engine::ReadFaultOutcome TrafficFaultModel::read_outcome(
     std::uint64_t request_id) {
   STTRAM_PROFILE_SCOPE("fault.ecc_retry");

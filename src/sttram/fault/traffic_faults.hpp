@@ -9,7 +9,9 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 
+#include "sttram/engine/bank_sim.hpp"
 #include "sttram/engine/fault_hook.hpp"
 #include "sttram/fault/ecc.hpp"
 #include "sttram/stats/rng.hpp"
@@ -58,5 +60,14 @@ class TrafficFaultModel final : public engine::ReadFaultModel {
   Xoshiro256 master_;
   std::size_t codeword_bits_;
 };
+
+/// The model the traffic front ends attach (flat and chip-scale, CLI and
+/// campaigns alike): a retry re-runs the whole read, so it costs the
+/// scheme's read service time and energy, and the model's stream seed
+/// derives from the run seed.
+std::unique_ptr<TrafficFaultModel> make_traffic_fault_model(
+    engine::SensingScheme scheme, const CostComparisonConfig& cost,
+    double raw_ber, bool ecc, std::uint32_t max_attempts,
+    std::uint64_t run_seed);
 
 }  // namespace sttram::fault

@@ -100,8 +100,10 @@ void Registry::check_name(const std::string& name, const char* kind) const {
   for (const char c : name) {
     const bool ok = (c >= 'a' && c <= 'z') || (c >= '0' && c <= '9') ||
                     c == '_' || c == '.';
-    require(ok, "Registry: invalid metric name '" + name +
-                    "' (allowed characters: [a-z0-9_.])");
+    if (!ok) {
+      throw InvalidArgument("Registry: invalid metric name '" + name +
+                            "' (allowed characters: [a-z0-9_.])");
+    }
   }
   const char* existing = nullptr;
   if (counters_.count(name) > 0) {

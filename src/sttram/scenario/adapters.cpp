@@ -190,19 +190,13 @@ Json run_traffic_kind(const ScenarioInstance& inst, ParallelExecutor*) {
   const double ber = param_number(inst.params, "faults_ber", -1.0);
   std::unique_ptr<fault::TrafficFaultModel> faults;
   if (ber >= 0.0) {
-    fault::TrafficFaultConfig fc;
-    fc.raw_ber = ber;
-    fc.ecc = param_bool(inst.params, "ecc", false);
-    fc.max_attempts = static_cast<std::uint32_t>(
+    const bool ecc = param_bool(inst.params, "ecc", false);
+    const auto attempts = static_cast<std::uint32_t>(
         param_count(inst.params, "retry", 3, inst.name));
-    require(fc.max_attempts >= 1,
+    require(attempts >= 1,
             "scenario '" + inst.name + "': retry must be >= 1");
-    const engine::BankTiming timing =
-        engine::scheme_bank_timing(cfg.scheme, cfg.cost);
-    fc.retry_latency = timing.read_service;
-    fc.retry_energy = timing.read_energy;
-    fc.seed = cfg.seed ^ 0x5717fa7ee1dULL;  // matches `sttram_cli traffic`
-    faults = std::make_unique<fault::TrafficFaultModel>(fc);
+    faults = fault::make_traffic_fault_model(cfg.scheme, cfg.cost, ber, ecc,
+                                             attempts, cfg.seed);
     cfg.faults = faults.get();
   }
 
@@ -314,19 +308,13 @@ Json run_controller_kind(const ScenarioInstance& inst,
   const double ber = param_number(inst.params, "faults_ber", -1.0);
   std::unique_ptr<fault::TrafficFaultModel> faults;
   if (ber >= 0.0) {
-    fault::TrafficFaultConfig fc;
-    fc.raw_ber = ber;
-    fc.ecc = param_bool(inst.params, "ecc", false);
-    fc.max_attempts = static_cast<std::uint32_t>(
+    const bool ecc = param_bool(inst.params, "ecc", false);
+    const auto attempts = static_cast<std::uint32_t>(
         param_count(inst.params, "retry", 3, inst.name));
-    require(fc.max_attempts >= 1,
+    require(attempts >= 1,
             "scenario '" + inst.name + "': retry must be >= 1");
-    const engine::BankTiming timing =
-        engine::scheme_bank_timing(cfg.scheme, cfg.cost);
-    fc.retry_latency = timing.read_service;
-    fc.retry_energy = timing.read_energy;
-    fc.seed = cfg.seed ^ 0x5717fa7ee1dULL;  // matches `sttram_cli traffic`
-    faults = std::make_unique<fault::TrafficFaultModel>(fc);
+    faults = fault::make_traffic_fault_model(cfg.scheme, cfg.cost, ber, ecc,
+                                             attempts, cfg.seed);
     cfg.faults = faults.get();
   }
 

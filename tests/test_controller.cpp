@@ -1,5 +1,6 @@
 // Chip-scale memory controller (engine/controller): command timing,
-// per-channel FR-FCFS scheduling, coalescing, and the sharded-channel
+// per-channel FR-FCFS scheduling, coalescing, the flat bank
+// configuration run_traffic drives, and the sharded-channel
 // determinism contract.
 #include <gtest/gtest.h>
 
@@ -7,9 +8,11 @@
 #include <cstdint>
 #include <vector>
 
+#include "sttram/common/error.hpp"
 #include "sttram/engine/bank_sim.hpp"
 #include "sttram/engine/controller/controller.hpp"
 #include "sttram/engine/thread_pool.hpp"
+#include "sttram/engine/workload.hpp"
 
 namespace sttram::engine::controller {
 namespace {
@@ -137,7 +140,7 @@ TEST(ChannelSimTest, FrFcfsServesRowHitsFirst) {
 
 TEST(ChannelSimTest, FcfsKeepsArrivalOrder) {
   ChannelConfig cc = test_channel_config();
-  cc.scheduler = SchedulerPolicy::kFcfs;
+  cc.scheduler = SchedulingPolicy::kFcfs;
   cc.coalescing = false;
   ChannelSim sim(cc);
   sim.submit(make_request(0, 0.0, 5));
@@ -223,6 +226,146 @@ TEST(ChannelSimTest, InFlightAccessesAreNeverMerged) {
   EXPECT_EQ(sim.stats().row_hits, 1u);
 }
 
+// ------------------------------------------ flat bank configuration
+// The configuration run_traffic drives: every request on row 0, no
+// ACT/PRE time, no coalescing, so an access occupies its bank for
+// exactly the read (1 ns) or write (2 ns) service.
+
+ChannelConfig flat_config(std::size_t banks, SchedulingPolicy policy) {
+  ChannelConfig cc;
+  cc.banks = banks;
+  cc.timing.t_read = Second(1e-9);
+  cc.timing.t_write = Second(2e-9);
+  cc.scheduler = policy;
+  cc.coalescing = false;
+  return cc;
+}
+
+MemRequest flat_request(std::uint64_t id, double arrival, Op op,
+                        std::uint32_t bank = 0) {
+  MemRequest r;
+  r.id = id;
+  r.arrival = arrival;
+  r.op = op;
+  r.bank = bank;
+  return r;
+}
+
+struct Retired {
+  MemRequest request;
+  double start = 0.0;
+  double finish = 0.0;
+};
+
+/// Retires the earliest completion and returns it.
+Retired step_one(ChannelSim& sim) {
+  Retired out;
+  sim.step([&](const MemRequest& r, double start, double finish) {
+    out = Retired{r, start, finish};
+  });
+  return out;
+}
+
+/// Drains the channel, returning the retired ids in order.
+std::vector<std::uint64_t> retire_order(ChannelSim& sim) {
+  std::vector<std::uint64_t> ids;
+  while (!sim.idle()) ids.push_back(step_one(sim).request.id);
+  return ids;
+}
+
+TEST(ChannelSimTest, ServicesBackToBackOnOneBank) {
+  ChannelSim sim(flat_config(1, SchedulingPolicy::kFcfs));
+  sim.submit(flat_request(0, 0.0, Op::kRead));
+  sim.submit(flat_request(1, 0.1e-9, Op::kRead));
+  ASSERT_FALSE(sim.idle());
+  const Retired first = step_one(sim);
+  EXPECT_EQ(first.request.id, 0u);
+  EXPECT_DOUBLE_EQ(first.finish, 1e-9);
+  const Retired second = step_one(sim);
+  EXPECT_EQ(second.request.id, 1u);
+  // Queued behind the first: starts at its completion, not at arrival.
+  EXPECT_DOUBLE_EQ(second.start, 1e-9);
+  EXPECT_DOUBLE_EQ(second.finish, 2e-9);
+  EXPECT_TRUE(sim.idle());
+}
+
+TEST(ChannelSimTest, FcfsRetiresMixedOpsInArrivalOrder) {
+  ChannelSim sim(flat_config(1, SchedulingPolicy::kFcfs));
+  sim.submit(flat_request(0, 0.0, Op::kWrite));  // in flight
+  sim.submit(flat_request(1, 1e-10, Op::kWrite));
+  sim.submit(flat_request(2, 2e-10, Op::kRead));
+  sim.submit(flat_request(3, 3e-10, Op::kWrite));
+  EXPECT_EQ(retire_order(sim), (std::vector<std::uint64_t>{0, 1, 2, 3}));
+}
+
+TEST(ChannelSimTest, ReadPriorityDrainsOldestReadFirst) {
+  ChannelSim sim(flat_config(1, SchedulingPolicy::kReadPriority));
+  sim.submit(flat_request(0, 0.0, Op::kWrite));  // in flight
+  sim.submit(flat_request(1, 1e-10, Op::kWrite));
+  sim.submit(flat_request(2, 2e-10, Op::kRead));
+  sim.submit(flat_request(3, 3e-10, Op::kRead));
+  sim.submit(flat_request(4, 4e-10, Op::kWrite));
+  // The oldest read, the next read, then the writes in order.
+  EXPECT_EQ(retire_order(sim), (std::vector<std::uint64_t>{0, 2, 3, 1, 4}));
+}
+
+TEST(ChannelSimTest, CompletionTiesRetireLowestBankFirst) {
+  ChannelSim sim(flat_config(2, SchedulingPolicy::kFcfs));
+  // Same arrival, same service, different banks: finishes tie exactly.
+  // The lower bank retires first even though it holds the higher id.
+  sim.submit(flat_request(0, 0.0, Op::kRead, 1));
+  sim.submit(flat_request(1, 0.0, Op::kRead, 0));
+  const Retired first = step_one(sim);
+  const Retired second = step_one(sim);
+  EXPECT_EQ(first.finish, second.finish);
+  EXPECT_EQ(first.request.bank, 0u);
+  EXPECT_EQ(first.request.id, 1u);
+  EXPECT_EQ(second.request.id, 0u);
+}
+
+TEST(ChannelSimTest, TracksBusyTimeAndServedPerBank) {
+  ChannelSim sim(flat_config(2, SchedulingPolicy::kFcfs));
+  sim.submit(flat_request(0, 0.0, Op::kRead, 0));
+  sim.submit(flat_request(1, 0.0, Op::kWrite, 1));
+  std::vector<std::size_t> served(2, 0);
+  while (!sim.idle()) ++served[step_one(sim).request.bank];
+  EXPECT_DOUBLE_EQ(sim.busy_time(0), 1e-9);
+  EXPECT_DOUBLE_EQ(sim.busy_time(1), 2e-9);
+  EXPECT_EQ(served, (std::vector<std::size_t>{1, 1}));
+  EXPECT_EQ(sim.stats().requests(), 2u);
+  EXPECT_THROW((void)sim.busy_time(2), InvalidArgument);
+}
+
+TEST(ChannelSimTest, RejectsOutOfRangeBank) {
+  ChannelSim sim(flat_config(2, SchedulingPolicy::kFcfs));
+  EXPECT_THROW(sim.submit(flat_request(0, 0.0, Op::kRead, 2)),
+               InvalidArgument);
+}
+
+TEST(ChannelSimTest, EveryRetirementFollowsItsArrival) {
+  PoissonWorkloadConfig gen;
+  gen.requests = 500;
+  gen.mean_interarrival = Second(0.3e-9);
+  gen.banks = 4;
+  gen.seed = 5;
+  const std::vector<Request> requests = generate_poisson_workload(gen);
+  ChannelSim sim(flat_config(4, SchedulingPolicy::kReadPriority));
+  std::size_t retired = 0;
+  run_open_loop(
+      sim, requests.size(),
+      [&](std::size_t i) {
+        const Request& r = requests[i];
+        return flat_request(r.id, r.arrival.value(), r.op, r.bank);
+      },
+      [&](const MemRequest& r, double start, double finish) {
+        EXPECT_GE(start, r.arrival);
+        EXPECT_GT(finish, start);
+        ++retired;
+      });
+  EXPECT_EQ(retired, requests.size());
+  EXPECT_EQ(sim.stats().requests(), requests.size());
+}
+
 // ------------------------------------------------ chip-level determinism
 
 ControllerConfig small_chip() {
@@ -292,7 +435,7 @@ TEST(RunControllerTest, FrFcfsBeatsFcfsUnderRowLocality) {
   cfg.utilization = 0.7;
   cfg.coalescing = false;  // isolate the scheduling effect
   const ControllerReport frfcfs = run_controller_traffic(cfg);
-  cfg.scheduler = SchedulerPolicy::kFcfs;
+  cfg.scheduler = SchedulingPolicy::kFcfs;
   const ControllerReport fcfs = run_controller_traffic(cfg);
   EXPECT_GT(frfcfs.row_hit_rate, fcfs.row_hit_rate);
   EXPECT_LT(frfcfs.mean_latency.value(), fcfs.mean_latency.value());
@@ -329,7 +472,7 @@ TEST(RunControllerTest, DegenerateChipMatchesBankSimWithinTolerance) {
   ctl.rows = 1;
   ctl.row_locality = 1.0;
   ctl.coalescing = false;
-  ctl.scheduler = SchedulerPolicy::kFcfs;
+  ctl.scheduler = SchedulingPolicy::kFcfs;
   ctl.requests = 200000;
   ctl.utilization = 0.6;
   ctl.seed = 9;
@@ -351,13 +494,13 @@ TEST(RunControllerTest, DegenerateChipMatchesBankSimWithinTolerance) {
 }
 
 TEST(RunControllerTest, SchedulerParsingRoundTrips) {
-  SchedulerPolicy policy;
+  SchedulingPolicy policy;
   ASSERT_TRUE(parse_scheduler("fcfs", policy));
-  EXPECT_EQ(policy, SchedulerPolicy::kFcfs);
+  EXPECT_EQ(policy, SchedulingPolicy::kFcfs);
   ASSERT_TRUE(parse_scheduler("frfcfs", policy));
-  EXPECT_EQ(policy, SchedulerPolicy::kFrFcfs);
+  EXPECT_EQ(policy, SchedulingPolicy::kFrFcfs);
   EXPECT_FALSE(parse_scheduler("lifo", policy));
-  EXPECT_STREQ(to_string(SchedulerPolicy::kFrFcfs), "frfcfs");
+  EXPECT_STREQ(to_string(SchedulingPolicy::kFrFcfs), "frfcfs");
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -17,6 +18,8 @@
 #include "sttram/engine/request.hpp"
 #include "sttram/engine/thread_pool.hpp"
 #include "sttram/engine/workload.hpp"
+#include "sttram/fault/traffic_faults.hpp"
+#include "sttram/obs/histogram.hpp"
 #include "sttram/sim/tail.hpp"
 #include "sttram/sim/throughput.hpp"
 #include "sttram/sim/yield.hpp"
@@ -26,9 +29,7 @@
 namespace sttram {
 namespace {
 
-using engine::BankController;
 using engine::BankTiming;
-using engine::CompletedRequest;
 using engine::Op;
 using engine::Request;
 using engine::SchedulingPolicy;
@@ -288,43 +289,6 @@ TEST(ParallelDrivers, MarginTailBitIdenticalAcrossThreadCounts) {
 }
 
 // ---------------------------------------------------------------------
-// RequestQueue scheduling
-// ---------------------------------------------------------------------
-
-Request make_request(std::uint64_t id, double arrival, Op op,
-                     std::uint32_t bank = 0) {
-  Request r;
-  r.id = id;
-  r.arrival = Second(arrival);
-  r.op = op;
-  r.bank = bank;
-  return r;
-}
-
-TEST(RequestQueueTest, FcfsPopsInArrivalOrder) {
-  engine::RequestQueue q(SchedulingPolicy::kFcfs);
-  q.push(make_request(0, 1e-9, Op::kWrite));
-  q.push(make_request(1, 2e-9, Op::kRead));
-  q.push(make_request(2, 3e-9, Op::kWrite));
-  EXPECT_EQ(q.pop().id, 0u);
-  EXPECT_EQ(q.pop().id, 1u);
-  EXPECT_EQ(q.pop().id, 2u);
-  EXPECT_TRUE(q.empty());
-}
-
-TEST(RequestQueueTest, ReadPriorityDrainsOldestReadFirst) {
-  engine::RequestQueue q(SchedulingPolicy::kReadPriority);
-  q.push(make_request(0, 1e-9, Op::kWrite));
-  q.push(make_request(1, 2e-9, Op::kRead));
-  q.push(make_request(2, 3e-9, Op::kRead));
-  q.push(make_request(3, 4e-9, Op::kWrite));
-  EXPECT_EQ(q.pop().id, 1u);  // oldest read
-  EXPECT_EQ(q.pop().id, 2u);  // next read
-  EXPECT_EQ(q.pop().id, 0u);  // then writes in order
-  EXPECT_EQ(q.pop().id, 3u);
-}
-
-// ---------------------------------------------------------------------
 // Scheme timing
 // ---------------------------------------------------------------------
 
@@ -358,63 +322,6 @@ TEST(SchemeTiming, ParseSchemeRoundTrips) {
   EXPECT_EQ(s, SensingScheme::kConventional);
   EXPECT_FALSE(engine::parse_scheme("quantum", s));
   EXPECT_FALSE(engine::parse_scheme("", s));
-}
-
-// ---------------------------------------------------------------------
-// BankController event mechanics
-// ---------------------------------------------------------------------
-
-BankTiming simple_timing() {
-  BankTiming t;
-  t.read_service = Second(1e-9);
-  t.write_service = Second(2e-9);
-  t.read_energy = Joule(1e-12);
-  t.write_energy = Joule(2e-12);
-  return t;
-}
-
-TEST(BankControllerTest, ServicesBackToBackOnOneBank) {
-  BankController ctrl(1, SchedulingPolicy::kFcfs, simple_timing());
-  ctrl.submit(make_request(0, 0.0, Op::kRead));
-  ctrl.submit(make_request(1, 0.1e-9, Op::kRead));
-  ASSERT_FALSE(ctrl.idle());
-  const CompletedRequest first = ctrl.step();
-  EXPECT_EQ(first.request.id, 0u);
-  EXPECT_DOUBLE_EQ(first.finish.value(), 1e-9);
-  const CompletedRequest second = ctrl.step();
-  EXPECT_EQ(second.request.id, 1u);
-  // Queued behind the first: starts at its completion, not at arrival.
-  EXPECT_DOUBLE_EQ(second.start.value(), 1e-9);
-  EXPECT_DOUBLE_EQ(second.finish.value(), 2e-9);
-  EXPECT_TRUE(ctrl.idle());
-}
-
-TEST(BankControllerTest, CompletionTiesBreakByRequestId) {
-  BankController ctrl(2, SchedulingPolicy::kFcfs, simple_timing());
-  // Same arrival, same service, different banks: finishes tie exactly.
-  ctrl.submit(make_request(7, 0.0, Op::kRead, 1));
-  ctrl.submit(make_request(3, 0.0, Op::kRead, 0));
-  EXPECT_EQ(ctrl.step().request.id, 3u);
-  EXPECT_EQ(ctrl.step().request.id, 7u);
-}
-
-TEST(BankControllerTest, TracksBusyTimeAndServed) {
-  BankController ctrl(2, SchedulingPolicy::kFcfs, simple_timing());
-  ctrl.submit(make_request(0, 0.0, Op::kRead, 0));
-  ctrl.submit(make_request(1, 0.0, Op::kWrite, 1));
-  ctrl.step();
-  ctrl.step();
-  EXPECT_DOUBLE_EQ(ctrl.busy_time(0).value(), 1e-9);
-  EXPECT_DOUBLE_EQ(ctrl.busy_time(1).value(), 2e-9);
-  EXPECT_EQ(ctrl.served(0), 1u);
-  EXPECT_EQ(ctrl.served(1), 1u);
-  EXPECT_EQ(ctrl.pending(), 0u);
-}
-
-TEST(BankControllerTest, RejectsOutOfRangeBank) {
-  BankController ctrl(2, SchedulingPolicy::kFcfs, simple_timing());
-  EXPECT_THROW(ctrl.submit(make_request(0, 0.0, Op::kRead, 2)),
-               InvalidArgument);
 }
 
 // ---------------------------------------------------------------------
@@ -538,16 +445,112 @@ TEST(RunTrafficTest, ClosedLoopBoundsOutstandingRequests) {
   EXPECT_GT(r.makespan.value(), 0.0);
 }
 
-TEST(RunTrafficTest, KeepCompletionsRecordsFullSchedule) {
-  TrafficConfig cfg;
-  cfg.requests = 500;
-  cfg.keep_completions = true;
-  const TrafficReport r = engine::run_traffic(cfg);
-  ASSERT_EQ(r.completions.size(), 500u);
-  for (const CompletedRequest& done : r.completions) {
-    EXPECT_GE(done.start.value(), done.request.arrival.value());
-    EXPECT_GT(done.finish.value(), done.start.value());
+/// FNV-1a fold of a double's bit pattern.
+std::uint64_t fold(std::uint64_t h, double v) {
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &v, sizeof bits);
+  for (int i = 0; i < 8; ++i) {
+    h ^= (bits >> (8 * i)) & 0xffU;
+    h *= 0x100000001b3ULL;
   }
+  return h;
+}
+
+std::uint64_t fold_hist(std::uint64_t h, const obs::Histogram& hist) {
+  h = fold(h, static_cast<double>(hist.count()));
+  h = fold(h, hist.sum());
+  for (const double q : {0.0, 0.5, 0.9, 0.99, 0.999, 1.0}) {
+    h = fold(h, hist.quantile(q));
+  }
+  return h;
+}
+
+/// Every scalar of a report, per-bank utilization and the quantiles of
+/// the three latency histograms.
+std::uint64_t report_digest(const TrafficReport& r) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const double v :
+       {static_cast<double>(r.requests), static_cast<double>(r.reads),
+        static_cast<double>(r.writes), r.makespan.value(),
+        r.mean_latency.value(), r.p50_latency.value(), r.p90_latency.value(),
+        r.p99_latency.value(), r.p999_latency.value(), r.max_latency.value(),
+        r.mean_read_latency.value(), r.mean_write_latency.value(),
+        r.mean_queue_wait.value(), r.sustained_bandwidth_mbps,
+        r.avg_bank_utilization, static_cast<double>(r.peak_queue_depth),
+        r.total_energy.value(), r.energy_per_bit_pj, r.read_service.value(),
+        r.write_service.value(), r.faults_enabled ? 1.0 : 0.0,
+        static_cast<double>(r.faults.faulty_reads),
+        static_cast<double>(r.faults.retries),
+        static_cast<double>(r.faults.raw_bit_errors),
+        static_cast<double>(r.faults.corrected_words),
+        static_cast<double>(r.faults.uncorrectable_words),
+        static_cast<double>(r.faults.silent_corruptions),
+        r.faults.extra_latency.value(), r.faults.extra_energy.value()}) {
+    h = fold(h, v);
+  }
+  for (const double u : r.bank_utilization) h = fold(h, u);
+  h = fold_hist(h, r.latency_hist);
+  h = fold_hist(h, r.read_latency_hist);
+  return fold_hist(h, r.write_latency_hist);
+}
+
+// Bit-exact pin of the flat traffic engine across its request sources,
+// both policies and the fault hook (as the front ends build it).  A
+// change to the event core that reorders a retirement or a
+// floating-point sum moves a digest; regenerating one is a reviewed
+// change, not a fix.
+TEST(RunTrafficTest, FlatTrafficPin) {
+  TrafficConfig base;
+  base.banks = 8;
+  base.requests = 20000;
+  base.seed = 17;
+
+  TrafficConfig fcfs = base;
+  TrafficConfig prio = base;
+  prio.policy = SchedulingPolicy::kReadPriority;
+  prio.read_fraction = 0.5;
+  prio.utilization = 0.85;
+  TrafficConfig closed = base;
+  closed.workload = WorkloadKind::kClosedLoop;
+
+  // The Poisson stream run_traffic generates for `base`, through CSV.
+  const BankTiming timing =
+      engine::scheme_bank_timing(base.scheme, base.cost);
+  engine::PoissonWorkloadConfig gen;
+  gen.requests = base.requests;
+  gen.mean_interarrival =
+      (base.read_fraction * timing.read_service +
+       (1.0 - base.read_fraction) * timing.write_service) /
+      (base.utilization * static_cast<double>(base.banks));
+  gen.read_fraction = base.read_fraction;
+  gen.banks = base.banks;
+  gen.seed = base.seed;
+  std::stringstream csv;
+  engine::write_trace_csv(csv, engine::generate_poisson_workload(gen));
+  TrafficConfig replay = base;
+  replay.workload = WorkloadKind::kTrace;
+  replay.trace = engine::load_trace_csv(csv);
+
+  const auto model = fault::make_traffic_fault_model(
+      base.scheme, base.cost, 2e-3, /*ecc=*/true, /*max_attempts=*/3,
+      base.seed);
+  TrafficConfig faulty = base;
+  faulty.faults = model.get();
+
+  const std::uint64_t direct = report_digest(engine::run_traffic(fcfs));
+  EXPECT_EQ(direct, 0x27361fa1c76e147bULL) << std::hex << direct;
+  EXPECT_EQ(report_digest(engine::run_traffic(replay)), direct);
+  const std::uint64_t read_priority =
+      report_digest(engine::run_traffic(prio));
+  EXPECT_EQ(read_priority, 0x07d7e21beaa7814dULL)
+      << std::hex << read_priority;
+  const std::uint64_t closed_loop =
+      report_digest(engine::run_traffic(closed));
+  EXPECT_EQ(closed_loop, 0xf87722e15a9b15b5ULL) << std::hex << closed_loop;
+  const TrafficReport faulted = engine::run_traffic(faulty);
+  EXPECT_GT(faulted.faults.retries, 0u);
+  const std::uint64_t with_faults = report_digest(faulted);
+  EXPECT_EQ(with_faults, 0x42c2ee563178402aULL) << std::hex << with_faults;
 }
 
 // ---------------------------------------------------------------------

@@ -3,13 +3,22 @@
 
     python3 tools/perf_pairs.py <parent-rev> <workload> [--pairs N] [--seconds S]
 
-Checks <parent-rev> out into a temporary git worktree, then runs N pairs
-of `python3 perfbench/run.py --workload W --seed k --seconds S --trace 0`
-(seed k = 1..N), one in each checkout, alternating which side runs first
-so host drift does not favour one side.  Prints, for every end-to-end
-metric of BENCHMARK.json: each side's median and quartiles, how many
-pairs the change won, and both sides' failed ops.  The worktree is
-removed on exit.
+Exports <parent-rev> into a temporary directory (`git archive`), then
+runs N pairs of `python3 perfbench/run.py --workload W --seed k
+--seconds S --trace 0` (seed k = 1..N), one in each checkout, alternating
+which side runs first so host drift does not favour one side.  Prints,
+for every end-to-end metric of BENCHMARK.json: each side's median and
+quartiles, how many pairs the change won, the acceptance verdict against
+the metric's relative `bound`, and both sides' failed ops.  The export
+is removed on exit.
+
+Verdicts, in the order they are decided:
+  unresolved          the parent's IQR / median exceeds the bound and not
+                      every change run beats every parent run: the runs
+                      spread too widely to tell
+  worse beyond bound  the change's median is worse than the parent's by
+                      more than the bound
+  within bound        otherwise
 """
 import argparse
 import json
@@ -39,6 +48,19 @@ def quartiles(values: list) -> tuple:
     return q1, q2, q3
 
 
+def verdict(parent: list, change: list, better: str, bound: float) -> str:
+    pq, cq = quartiles(parent), quartiles(change)
+    if better == "higher":
+        all_beat = min(change) > max(parent)
+        worse = (pq[1] - cq[1]) / pq[1]
+    else:
+        all_beat = max(change) < min(parent)
+        worse = (cq[1] - pq[1]) / pq[1]
+    if (pq[2] - pq[0]) / pq[1] > bound and not all_beat:
+        return "unresolved"
+    return "worse beyond bound" if worse > bound else "within bound"
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("parent_rev")
@@ -50,33 +72,32 @@ def main() -> None:
         ap.error("--pairs must be >= 1 and --seconds > 0")
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    metrics = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    metrics = {m["name"]: m for m in spec["end_to_end"]}
     with tempfile.TemporaryDirectory(prefix="perf_pairs-") as tmp:
         parent = Path(tmp) / "parent"
-        subprocess.run(["git", "worktree", "add", "--detach", str(parent),
-                        args.parent_rev], cwd=ROOT, check=True,
-                       stdout=subprocess.DEVNULL)
-        try:
-            results = {"parent": [], "change": []}
-            for k in range(args.pairs):
-                order = [("parent", parent), ("change", ROOT)]
-                if k % 2 == 1:
-                    order.reverse()
-                for side, checkout in order:
-                    results[side].append(
-                        run_side(checkout, args.workload, k + 1, args.seconds))
-                    print(f"pair {k + 1}/{args.pairs} {side}: " + ", ".join(
-                        f"{n}={results[side][-1]['metrics'][n]['value']:.4g}"
-                        for n in metrics), file=sys.stderr)
-        finally:
-            subprocess.run(["git", "worktree", "remove", "--force", str(parent)],
-                           cwd=ROOT, check=False)
+        parent.mkdir()
+        archive = subprocess.run(["git", "archive", args.parent_rev], cwd=ROOT,
+                                 check=True, stdout=subprocess.PIPE).stdout
+        subprocess.run(["tar", "-x", "-C", str(parent)], input=archive,
+                       check=True)
+        results = {"parent": [], "change": []}
+        for k in range(args.pairs):
+            order = [("parent", parent), ("change", ROOT)]
+            if k % 2 == 1:
+                order.reverse()
+            for side, checkout in order:
+                results[side].append(
+                    run_side(checkout, args.workload, k + 1, args.seconds))
+                print(f"pair {k + 1}/{args.pairs} {side}: " + ", ".join(
+                    f"{n}={results[side][-1]['metrics'][n]['value']:.4g}"
+                    for n in metrics), file=sys.stderr)
 
     print(f"{args.workload}: {args.parent_rev} (parent) vs working tree (change), "
           f"{args.pairs} pairs x {args.seconds:g} s, seeds 1..{args.pairs}")
     print(f"{'metric':<16} {'better':<7} {'parent q1 / median / q3':<34} "
-          f"{'change q1 / median / q3':<34} {'change':>7} wins")
-    for name, better in metrics.items():
+          f"{'change q1 / median / q3':<34} {'change':>7} wins  verdict")
+    for name, m in metrics.items():
+        better = m["better"]
         p = [r["metrics"][name]["value"] for r in results["parent"]]
         c = [r["metrics"][name]["value"] for r in results["change"]]
         wins = sum((b > a) if better == "higher" else (b < a) for a, b in zip(p, c))
@@ -84,7 +105,7 @@ def main() -> None:
         delta = (cq[1] - pq[1]) / pq[1] * 100.0 if pq[1] else float("nan")
         print(f"{name:<16} {better:<7} {' / '.join(f'{v:.4g}' for v in pq):<34} "
               f"{' / '.join(f'{v:.4g}' for v in cq):<34} {delta:+6.1f}% "
-              f"{wins}/{args.pairs}")
+              f"{wins:>2}/{args.pairs:<2} {verdict(p, c, better, m['bound'])}")
     for side in ("parent", "change"):
         failed = sum(r["failed"] for r in results[side])
         attempted = sum(r["attempted"] for r in results[side])
