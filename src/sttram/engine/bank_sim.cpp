@@ -193,6 +193,7 @@ TrafficReport run_traffic(const TrafficConfig& config) {
 
   BankTiming timing;
   std::vector<Request> requests;
+  const std::vector<Request>* workload = &requests;
   {
     obs::TraceSpan phase("traffic.workload", "engine");
     STTRAM_PROFILE_SCOPE("traffic.workload");
@@ -216,12 +217,16 @@ TrafficReport run_traffic(const TrafficConfig& config) {
       requests = generate_poisson_workload(poisson);
     } else if (config.workload == WorkloadKind::kTrace) {
       require(!config.trace.empty(), "run_traffic: trace workload is empty");
-      requests = config.trace;
-      std::stable_sort(requests.begin(), requests.end(),
-                       [](const Request& a, const Request& b) {
-                         return a.arrival < b.arrival;
-                       });
-      for (const Request& r : requests) {
+      // A trace already in arrival order (load_trace_csv's output) is
+      // replayed in place.
+      if (std::is_sorted(config.trace.begin(), config.trace.end(),
+                         arrives_before)) {
+        workload = &config.trace;
+      } else {
+        requests = config.trace;
+        std::stable_sort(requests.begin(), requests.end(), arrives_before);
+      }
+      for (const Request& r : *workload) {
         require(r.bank < config.banks,
                 "run_traffic: trace bank index out of range");
       }
@@ -240,8 +245,8 @@ TrafficReport run_traffic(const TrafficConfig& config) {
       simulate_closed_loop(config, sim, acc);
     } else {
       controller::run_open_loop(
-          sim, requests.size(),
-          [&](std::size_t i) { return flat_request(requests[i]); },
+          sim, workload->size(),
+          [&](std::size_t i) { return flat_request((*workload)[i]); },
           [&](const controller::MemRequest& r, double start, double finish) {
             acc.record(r, start, finish);
           });

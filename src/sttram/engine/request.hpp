@@ -18,6 +18,11 @@ struct Request {
   std::uint32_t bank = 0;
 };
 
+/// Arrival order; stable sorts by it keep equal arrivals in issue order.
+inline bool arrives_before(const Request& a, const Request& b) {
+  return a.arrival < b.arrival;
+}
+
 /// How a bank picks the next pending request when it frees up.  One
 /// policy type serves both front ends: the flat bank simulator accepts
 /// kFcfs / kReadPriority, the chip-scale controller kFcfs / kFrFcfs.

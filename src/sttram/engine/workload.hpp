@@ -27,10 +27,12 @@ std::vector<Request> generate_poisson_workload(
 
 /// Loads an access trace.  Format: a CSV with columns
 ///   arrival_s,op,bank
-/// where `op` is read/r/R or write/w/W; a header row is skipped when the
-/// first column does not parse as a number.  Rows are sorted by arrival
-/// (stable, so equal arrivals keep file order) and re-numbered.  Throws
-/// InvalidArgument on malformed rows.
+/// where `op` is read/r/R or write/w/W; row 1 is a header, and skipped,
+/// when its first field is a label.  Quoted fields, CRLF line ends,
+/// blank lines and extra columns are accepted (DESIGN.md §9.1).  Rows
+/// are numbered in arrival order, stably sorted first when out of order.
+/// Throws InvalidArgument naming the row and column of a malformed
+/// record, and on a stream read error.
 std::vector<Request> load_trace_csv(std::istream& in);
 
 /// Writes `requests` in the load_trace_csv format (with header).

@@ -1,10 +1,7 @@
 #include "sttram/io/csv.hpp"
 
 #include <cstdio>
-#include <istream>
 #include <ostream>
-
-#include "sttram/common/error.hpp"
 
 namespace sttram {
 
@@ -41,68 +38,6 @@ void CsvWriter::write_row(const std::vector<double>& fields) {
   }
   out_ << '\n';
   ++rows_;
-}
-
-std::vector<std::string> split_csv_record(const std::string& record) {
-  std::vector<std::string> fields;
-  std::string field;
-  bool quoted = false;
-  for (std::size_t i = 0; i < record.size(); ++i) {
-    const char ch = record[i];
-    if (quoted) {
-      if (ch == '"') {
-        if (i + 1 < record.size() && record[i + 1] == '"') {
-          field += '"';
-          ++i;
-        } else {
-          quoted = false;
-        }
-      } else {
-        field += ch;
-      }
-    } else if (ch == '"') {
-      quoted = true;
-    } else if (ch == ',') {
-      fields.push_back(std::move(field));
-      field.clear();
-    } else {
-      field += ch;
-    }
-  }
-  require(!quoted, "split_csv_record: unterminated quote in '" + record +
-                       "'");
-  fields.push_back(std::move(field));
-  return fields;
-}
-
-CsvReader::CsvReader(std::istream& in) : in_(in) {}
-
-bool CsvReader::read_row(std::vector<std::string>& fields) {
-  std::string record;
-  for (;;) {
-    std::string line;
-    if (!std::getline(in_, line)) {
-      require(record.empty(),
-              "CsvReader: unterminated quoted field at end of input");
-      return false;
-    }
-    if (!line.empty() && line.back() == '\r') line.pop_back();
-    if (record.empty()) {
-      if (line.empty()) continue;  // skip blank lines between records
-      record = std::move(line);
-    } else {
-      // A record continues across lines while a quote is open.
-      record += '\n';
-      record += line;
-    }
-    // The record is complete once every quote is closed.
-    std::size_t quotes = 0;
-    for (const char ch : record) quotes += ch == '"' ? 1 : 0;
-    if (quotes % 2 == 0) break;
-  }
-  fields = split_csv_record(record);
-  ++rows_;
-  return true;
 }
 
 }  // namespace sttram

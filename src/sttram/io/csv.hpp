@@ -1,4 +1,4 @@
-// Minimal CSV emission and consumption (RFC-4180-style quoting).
+// Minimal CSV emission (RFC-4180-style quoting).
 #pragma once
 
 #include <iosfwd>
@@ -24,28 +24,6 @@ class CsvWriter {
  private:
   static std::string escape(const std::string& field);
   std::ostream& out_;
-  std::size_t rows_ = 0;
-};
-
-/// Splits one CSV record into fields — the inverse of CsvWriter's
-/// quoting.  A doubled quote inside a quoted field decodes to one quote;
-/// the record must not span lines (use CsvReader for that case).
-std::vector<std::string> split_csv_record(const std::string& record);
-
-/// Streams rows from a CSV file.  Quoted fields may contain commas,
-/// escaped quotes and embedded newlines; blank lines are skipped.
-class CsvReader {
- public:
-  explicit CsvReader(std::istream& in);
-
-  /// Reads the next row into `fields`; returns false at end of input.
-  bool read_row(std::vector<std::string>& fields);
-
-  /// Rows successfully returned so far (1-based index of the last row).
-  [[nodiscard]] std::size_t rows_read() const { return rows_; }
-
- private:
-  std::istream& in_;
   std::size_t rows_ = 0;
 };
 

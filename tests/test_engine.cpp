@@ -7,7 +7,9 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <iterator>
 #include <sstream>
+#include <streambuf>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -25,6 +27,7 @@
 #include "sttram/sim/yield.hpp"
 #include "sttram/stats/importance.hpp"
 #include "sttram/stats/monte_carlo.hpp"
+#include "sttram/stats/rng.hpp"
 
 namespace sttram {
 namespace {
@@ -649,6 +652,275 @@ TEST(TraceWorkload, LoaderRejectsMalformedRows) {
   // The largest bank index still loads.
   std::stringstream max_bank("1e-9,read,4294967295\n");
   EXPECT_EQ(engine::load_trace_csv(max_bank)[0].bank, UINT32_MAX);
+}
+
+/// One small trace from the loader corpus: optional header rows, blank
+/// lines, LF/CRLF/mixed line ends, an optional missing final newline,
+/// quoted fields (whole-field, mid-field, doubled quotes, commas and
+/// newlines inside quotes), extra columns, and every malformed class of
+/// LoaderRejectsMalformedRows, all drawn from `rng`.
+std::string loader_corpus_trace(Xoshiro256& rng) {
+  const auto pick = [&rng](const auto& options) {
+    return std::string(options[rng.next_u64() % std::size(options)]);
+  };
+  const auto chance = [&rng](double p) { return rng.next_double() < p; };
+  static const char* const kArrivals[] = {
+      "0", "1e-9", "3.5e-8", "2e-9", "1e-9", "12", "0.000001", "7e-10",
+      "-0", "5E-9"};
+  static const char* const kBadArrivals[] = {
+      "inf", "nan", "0x1p-30", "+1e-9", "-1e-9", "xyz", "", "1e-9x",
+      " 1e-9", "arrival_s", "1e400"};
+  static const char* const kOps[] = {"read", "r", "R", "write", "w", "W"};
+  static const char* const kBadOps[] = {"erase", "", "READ", "rd", "read ",
+                                        "re\rad"};
+  static const char* const kBanks[] = {"0", "1", "3", "2.0", "1e3",
+                                       "4294967295", "007", "7", "-0",
+                                       "4.0e0"};
+  static const char* const kBadBanks[] = {
+      "1.5", "inf", "1e20", "4294967296", "4294967297", "-1", "", "0x10",
+      " 1", "nan", "+2", "1,5"};
+  static const char* const kExtras[] = {
+      "x", "", "\"a,b\"", "\"multi\nline\"", "\"say \"\"hi\"\"\"",
+      "\"crlf\r\ninside\"", "\"\n\n\""};
+  static const char* const kHeaders[] = {
+      "arrival_s,op,bank", "\"arrival_s\",op,bank", "time,op,bank,extra",
+      "arrival_s,op", "a\"rrival\"_s,op,bank"};
+  // Quoting that decodes to `v` or (doubled quote) to a changed value.
+  const auto quote = [&](const std::string& v) {
+    const std::size_t at = v.empty() ? 0 : rng.next_u64() % (v.size() + 1);
+    switch (rng.next_u64() % 4) {
+      case 0: return "\"" + v + "\"";
+      case 1: return v.substr(0, at) + "\"" + v.substr(at) + "\"";
+      case 2: return "\"" + v.substr(0, at) + "\"\"" + v.substr(at) + "\"";
+      default: return "\"" + v.substr(0, at) + "\"" + v.substr(at);
+    }
+  };
+  const int line_ends = static_cast<int>(rng.next_u64() % 3);  // LF/CRLF/mix
+  const auto eol = [&]() -> std::string {
+    if (line_ends == 0) return "\n";
+    if (line_ends == 1) return "\r\n";
+    return chance(0.5) ? "\n" : "\r\n";
+  };
+  std::string text;
+  // Draws are sequenced statement by statement: the operands of one `+`
+  // may be evaluated in either order.
+  if (chance(0.3)) {
+    text += pick(kHeaders);
+    text += eol();
+  }
+  const std::size_t rows = rng.next_u64() % 8;
+  for (std::size_t k = 0; k < rows; ++k) {
+    if (chance(0.08)) text += chance(0.5) ? eol() : std::string("\r\n");
+    if (chance(0.02)) {
+      text += pick(kHeaders);  // a header past row 1
+      text += eol();
+      continue;
+    }
+    std::vector<std::string> fields = {
+        chance(0.03) ? pick(kBadArrivals) : pick(kArrivals),
+        chance(0.03) ? pick(kBadOps) : pick(kOps),
+        chance(0.03) ? pick(kBadBanks) : pick(kBanks)};
+    for (std::string& f : fields) {
+      if (chance(0.1)) f = quote(f);
+    }
+    if (chance(0.02)) fields.pop_back();
+    if (chance(0.1)) fields.push_back(pick(kExtras));
+    if (chance(0.05)) fields.push_back(pick(kExtras));
+    for (std::size_t i = 0; i < fields.size(); ++i) {
+      if (i > 0) text += ',';
+      text += fields[i];
+    }
+    if (k + 1 < rows || chance(0.8)) text += eol();
+  }
+  if (chance(0.03)) {
+    text += "1e-9,\"read,0";  // unterminated quote
+    text += eol();
+  }
+  return text;
+}
+
+// Bit-exact pin of the trace loader's accepted set over a seeded corpus:
+// each trace folds either every loaded row (arrival bits, op, bank, id)
+// or a rejection marker into one digest.  A loader change that accepts,
+// rejects or decodes any corpus trace differently moves it.
+TEST(TraceWorkload, LoaderPin) {
+  Xoshiro256 rng(20101);
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  std::size_t accepted = 0;
+  std::size_t rejected = 0;
+  std::size_t rows = 0;
+  for (int t = 0; t < 2000; ++t) {
+    std::stringstream csv(loader_corpus_trace(rng));
+    std::vector<Request> loaded;
+    try {
+      loaded = engine::load_trace_csv(csv);
+    } catch (const InvalidArgument&) {
+      h = fold(h, -1.0);
+      ++rejected;
+      continue;
+    }
+    ++accepted;
+    rows += loaded.size();
+    h = fold(h, static_cast<double>(loaded.size()));
+    for (const Request& r : loaded) {
+      h = fold(h, r.arrival.value());
+      h = fold(h, r.op == Op::kRead ? 0.0 : 1.0);
+      h = fold(h, static_cast<double>(r.bank));
+      h = fold(h, static_cast<double>(r.id));
+    }
+  }
+  EXPECT_EQ(accepted, 974u);
+  EXPECT_EQ(rejected, 1026u);
+  EXPECT_EQ(rows, 2428u);
+  EXPECT_EQ(h, 0x34b7daacccb314e4ULL) << std::hex << h;
+}
+
+// Byte pin of write_trace_csv on a 20 000-row Poisson stream: the FNV-1a
+// fold of every written byte, plus its length.
+TEST(TraceWorkload, WriterPin) {
+  engine::PoissonWorkloadConfig gen;
+  gen.requests = 20000;
+  gen.mean_interarrival = Second(3e-9);
+  gen.banks = 16;
+  gen.seed = 99;
+  std::stringstream csv;
+  engine::write_trace_csv(csv, engine::generate_poisson_workload(gen));
+  const std::string text = csv.str();
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const char ch : text) {
+    h ^= static_cast<unsigned char>(ch);
+    h *= 0x100000001b3ULL;
+  }
+  EXPECT_EQ(text.size(), 611355u);
+  EXPECT_EQ(h, 0xfd954d628d36979fULL) << std::hex << h;
+}
+
+TEST(TraceWorkload, LoaderAcceptsEmptyAndHeaderOnlyInput) {
+  for (const char* text :
+       {"", "\n", "\r\n\n", "arrival_s,op,bank\n", "arrival_s,op,bank",
+        "\n\"arrival_s\",op,bank\r\n\r\n"}) {
+    SCOPED_TRACE(text);
+    std::stringstream csv(text);
+    EXPECT_TRUE(engine::load_trace_csv(csv).empty());
+  }
+}
+
+// The loader reads in 64 KiB chunks: a record that straddles a chunk
+// boundary at any byte, or is longer than a whole chunk, loads intact.
+TEST(TraceWorkload, LoaderJoinsRecordsAcrossChunks) {
+  constexpr std::size_t kChunk = 64 * 1024;
+  const std::string records[] = {
+      "1.25e-9,write,3\r\n",
+      "\"1.25e-9\",w\"rit\"e,\"3\",\"ext\r\nra \"\"q\"\"\"\r\n"};
+  for (const std::string& record : records) {
+    for (std::size_t back = 0; back <= record.size() + 1; ++back) {
+      SCOPED_TRACE(record + " at chunk end - " + std::to_string(back));
+      // The padding row ends so that `record` starts `back` bytes before
+      // the first chunk boundary.
+      const std::string head = "0,read,0,";
+      std::string text =
+          head + std::string(kChunk - back - head.size() - 1, 'x') + "\n";
+      text += record;
+      text += "2e-9,read,1";
+      std::stringstream csv(text);
+      const std::vector<Request> loaded = engine::load_trace_csv(csv);
+      ASSERT_EQ(loaded.size(), 3u);
+      EXPECT_EQ(loaded[1].arrival.value(), 1.25e-9);
+      EXPECT_EQ(loaded[1].op, Op::kWrite);
+      EXPECT_EQ(loaded[1].bank, 3u);
+      EXPECT_EQ(loaded[2].bank, 1u);
+    }
+  }
+  // Records longer than several chunks, unquoted and quoted.
+  const std::string wide(3 * kChunk + 17, 'y');
+  std::string multiline = "\"";
+  for (int k = 0; k < 5000; ++k) {
+    multiline += "line " + std::to_string(k) + "\r\n";
+  }
+  multiline += "\"";
+  std::stringstream csv("1e-9,read,4," + wide + "\n2e-9,write,5," +
+                        multiline + "\n3e-9,read,6\n");
+  const std::vector<Request> loaded = engine::load_trace_csv(csv);
+  ASSERT_EQ(loaded.size(), 3u);
+  EXPECT_EQ(loaded[0].bank, 4u);
+  EXPECT_EQ(loaded[1].bank, 5u);
+  EXPECT_EQ(loaded[2].bank, 6u);
+}
+
+TEST(TraceWorkload, LoaderSortsUnsortedTraceStably) {
+  std::stringstream csv(
+      "2e-9,read,5\n1e-9,write,1\n2e-9,write,6\n1e-9,read,2\n");
+  const std::vector<Request> loaded = engine::load_trace_csv(csv);
+  ASSERT_EQ(loaded.size(), 4u);
+  const std::uint32_t banks[] = {1, 2, 5, 6};
+  for (std::size_t k = 0; k < loaded.size(); ++k) {
+    EXPECT_EQ(loaded[k].bank, banks[k]);
+    EXPECT_EQ(loaded[k].id, k);
+  }
+  EXPECT_EQ(loaded[0].op, Op::kWrite);
+  EXPECT_EQ(loaded[1].op, Op::kRead);
+}
+
+std::string trace_load_error(const std::string& text) {
+  std::stringstream csv(text);
+  try {
+    (void)engine::load_trace_csv(csv);
+  } catch (const InvalidArgument& e) {
+    return e.what();
+  }
+  return "(loaded)";
+}
+
+TEST(TraceWorkload, LoaderErrorsNameRowAndColumn) {
+  // Rows count records (the header included, blank lines not).
+  const struct {
+    const char* text;
+    const char* where;
+  } kCases[] = {
+      {"arrival_s,op,bank\n1e-9,read,0\nbad,read,0\n", "row 3, column 1"},
+      {"1e-9,read,0\n-2e-9,read,0\n", "row 2, column 1"},
+      {"1e-9,read,0\r\n2e-9,erase,1\r\n", "row 2, column 2"},
+      {"1e-9,read,0\n\n\n2e-9,read,1.5\n", "row 2, column 3"},
+      {"1e-9,\"read\",0\n2e-9,\"read\",\"1\"\"\"\n", "row 2, column 3"},
+      {"1e-9,read\n", "row 1, column 3"},
+      {"1e-9,read,0\n2e-9,\"read,0\n", "row 2, column 2"},
+  };
+  for (const auto& c : kCases) {
+    SCOPED_TRACE(c.text);
+    EXPECT_NE(trace_load_error(c.text).find(c.where), std::string::npos)
+        << trace_load_error(c.text);
+  }
+}
+
+/// Serves `head`, then fails the next read the way a file buffer does
+/// on an I/O error: by throwing from underflow().
+class FailingStreambuf : public std::streambuf {
+ public:
+  explicit FailingStreambuf(std::string head) : head_(std::move(head)) {}
+
+ protected:
+  int_type underflow() override {
+    if (served_) throw std::runtime_error("device read failed");
+    served_ = true;
+    setg(head_.data(), head_.data(), head_.data() + head_.size());
+    return traits_type::to_int_type(head_[0]);
+  }
+
+ private:
+  std::string head_;
+  bool served_ = false;
+};
+
+TEST(TraceWorkload, LoaderReportsReadErrors) {
+  FailingStreambuf buf("1e-9,read,0\n2e-9,write,1\n");
+  std::istream in(&buf);
+  try {
+    (void)engine::load_trace_csv(in);
+    ADD_FAILURE() << "a failed read ended the trace silently";
+  } catch (const InvalidArgument& e) {
+    EXPECT_NE(std::string(e.what()).find("read error"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(TraceWorkload, GeneratorIsDeterministicAndSorted) {
